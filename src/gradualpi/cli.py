@@ -2,7 +2,9 @@
 
 Exit codes: 0 success or normal-stuck run, 1 type-check rejection,
 2 run-time type error, 3 parse error, 4 usage error (including an aborted
-interactive session), 5 step or depth budget exceeded.
+interactive session), 5 step or depth budget exceeded, 70 internal error
+(a broken run-time invariant such as a malformed cast, a program nested
+deeper than the recursion limit, or any other unexpected exception).
 
 `run` accepts several files: each is checked and compiled under its own
 declarations, then the compiled processes execute in parallel.  This is
@@ -41,6 +43,7 @@ EXIT_TYPE_ERROR = 2
 EXIT_PARSE_ERROR = 3
 EXIT_USAGE = 4
 EXIT_EXCEEDED = 5
+EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 _STATUS_EXIT = {
     Status.NORMAL_STUCK: EXIT_OK,
@@ -225,6 +228,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         source = getattr(exc, "source", "<input>")
         print(f"{source}:{exc.line}:{exc.col}: parse error: {exc.message}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except Exception as exc:  # MalformedCastError, RecursionError, ...: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"gradualpi: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -380,10 +380,6 @@ def parse_process(text: str) -> SurfaceProcess:
 _PAR, _CHOICE, _PREFIX = 0, 1, 2
 
 
-def format_type(t: Type) -> str:
-    return str(t)
-
-
 def format_channel(c: CastChannel) -> str:
     """Collapsed chain notation, e.g. `(x : o(o()) => dyn => o(o()))`.
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .parser import format_channel, print_cast
 from .syntax import (
@@ -178,19 +179,33 @@ def normalize(proc: CastProcess, protected: frozenset[Name] = frozenset()) -> Co
     )
 
 
+def _extrudes(term: CastProcess) -> bool:
+    """Whether flattening ``term`` hoists a restriction."""
+    match term:
+        case CRestrict():
+            return True
+        case CPar(l, r):
+            return _extrudes(l) or _extrudes(r)
+    return False
+
+
 def _rebuild(
     cfg: Configuration,
     replacements: Mapping[int, Sequence[CastProcess]],
     halted: Optional[Halt] = None,
 ) -> Configuration:
-    avoid = set(cfg.protected)
-    avoid.update(name for name, _ in cfg.restrictions)
-    for i, thread in enumerate(cfg.threads):
-        if i not in replacements:
-            avoid |= free_names(thread)
-    for items in replacements.values():
-        for item in items:
-            avoid |= free_names(item)
+    # Freshening consults the names in use only when a restriction is
+    # hoisted, so the (linear) scan for them is skipped otherwise.
+    avoid: set[Name] = set()
+    if any(_extrudes(item) for items in replacements.values() for item in items):
+        avoid.update(cfg.protected)
+        avoid.update(name for name, _ in cfg.restrictions)
+        for i, thread in enumerate(cfg.threads):
+            if i not in replacements:
+                avoid |= free_names(thread)
+        for items in replacements.values():
+            for item in items:
+                avoid |= free_names(item)
     restrictions = list(cfg.restrictions)
     threads: list[CastProcess] = []
     halts: list[Halt] = []
@@ -208,51 +223,47 @@ def _rebuild(
 # Redex enumeration
 # --------------------------------------------------------------------------
 
-_KIND_ORDER = {"comm": 0, "c-solve": 0, "choice-left": 1, "choice-right": 2, "replicate": 3}
-
-
 def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
-    """Every enabled redex, in a fixed order (thread index, then channel)."""
+    """Every enabled redex, in a fixed order.
+
+    Redexes are ordered by thread index (the input's, for a pair), then
+    kind (communication, choice-left, choice-right, replicate), then the
+    partner output's index.  Seeded runs pick by position in this order.
+    """
     if cfg.halted is not None:
         return ()
+    outputs: Optional[dict[Name, list[tuple[int, COutput]]]] = None
+    pool = _HeadPool(cfg.threads)
     redexes: list[Redex] = []
-    inputs = [(i, t) for i, t in enumerate(cfg.threads) if isinstance(t, CInput)]
-    outputs = [(j, t) for j, t in enumerate(cfg.threads) if isinstance(t, COutput)]
-    for i, inp in inputs:
-        for j, out in outputs:
-            if inp.subject.base != out.subject.base:
-                continue
-            if len(inp.binders) != len(out.args):
-                continue
-            bare = inp.subject.is_bare and out.subject.is_bare
-            redexes.append(Redex("comm" if bare else "c-solve", (i, j), inp.subject.base))
     for i, thread in enumerate(cfg.threads):
-        if isinstance(thread, CChoice):
+        if isinstance(thread, CInput):
+            if outputs is None:
+                outputs = {}
+                for j, other in enumerate(cfg.threads):
+                    if isinstance(other, COutput):
+                        outputs.setdefault(other.subject.base, []).append((j, other))
+            base, arity = thread.subject.base, len(thread.binders)
+            for j, out in outputs.get(base, ()):
+                if len(out.args) == arity:
+                    bare = thread.subject.is_bare and out.subject.is_bare
+                    redexes.append(Redex("comm" if bare else "c-solve", (i, j), base))
+        elif isinstance(thread, CChoice):
             redexes.append(Redex("choice-left", (i,)))
             redexes.append(Redex("choice-right", (i,)))
-        elif isinstance(thread, CReplicate) and _unfold_useful(cfg, i, thread):
+        elif isinstance(thread, CReplicate) and _unfold_useful(thread, pool):
             redexes.append(Redex("replicate", (i,)))
-    redexes.sort(
-        key=lambda r: (
-            r.participants[0],
-            _KIND_ORDER[r.kind],
-            r.participants[1:],
-            r.channel.base if r.channel else "",
-            r.channel.index if r.channel else -1,
-        )
-    )
     return tuple(redexes)
 
 
-def _heads(term: CastProcess, acc: list[tuple[str, Name, int]]) -> None:
+def _heads(term: CastProcess, acc: set[tuple[str, Name, int]]) -> None:
     """Input/output prefixes reachable without consuming any prefix."""
     match term:
         case CNil() | CTypeError():
             return
         case CInput(c, binders, _):
-            acc.append(("in", c.base, len(binders)))
+            acc.add(("in", c.base, len(binders)))
         case COutput(c, args, _):
-            acc.append(("out", c.base, len(args)))
+            acc.add(("out", c.base, len(args)))
         case CPar(l, r) | CChoice(l, r):
             _heads(l, acc)
             _heads(r, acc)
@@ -260,18 +271,35 @@ def _heads(term: CastProcess, acc: list[tuple[str, Name, int]]) -> None:
             _heads(body, acc)
 
 
-def _unfold_useful(cfg: Configuration, index: int, thread: CReplicate) -> bool:
-    mine: list[tuple[str, Name, int]] = []
+class _HeadPool:
+    """The heads of a configuration's threads, scanned lazily.
+
+    Threads are scanned in order only as far as membership queries need,
+    and each at most once per pool.
+    """
+
+    def __init__(self, threads: Sequence[CastProcess]):
+        self._pending = iter(threads)
+        self._found: set[tuple[str, Name, int]] = set()
+
+    def __contains__(self, head: tuple[str, Name, int]) -> bool:
+        while head not in self._found:
+            thread = next(self._pending, None)
+            if thread is None:
+                return False
+            _heads(thread, self._found)
+        return True
+
+
+def _unfold_useful(thread: CReplicate, pool: _HeadPool) -> bool:
+    """Whether a fresh copy of ``thread`` could meet a partner.
+
+    The pool holds the heads of every thread; a replicated thread's own
+    heads are among them, since the copy can pair with its original.
+    """
+    mine: set[tuple[str, Name, int]] = set()
     _heads(thread.body, mine)
-    pool: list[tuple[str, Name, int]] = list(mine)
-    for k, other in enumerate(cfg.threads):
-        if k != index:
-            _heads(other, pool)
-    for direction, base, arity in mine:
-        want = "in" if direction == "out" else "out"
-        if any(d == want and b == base and n == arity for d, b, n in pool):
-            return True
-    return False
+    return any(("in" if d == "out" else "out", base, n) in pool for d, base, n in mine)
 
 
 # --------------------------------------------------------------------------
@@ -382,13 +410,15 @@ def resolve_input_casts(
 # --------------------------------------------------------------------------
 
 
-def _pair_strings(cfg: Configuration, i: int, j: int) -> tuple[int, int, str]:
-    lo, hi = (i, j) if i < j else (j, i)
-    return lo, hi, f"{print_cast(cfg.threads[lo])} | {print_cast(cfg.threads[hi])}"
+def _reduce(
+    cfg: Configuration, redex: Redex
+) -> tuple[Configuration, str, tuple[str, ...], Mapping[int, Sequence[CastProcess]]]:
+    """Apply one redex without rendering any text.
 
-
-def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuration, TraceEvent]:
-    """Apply one redex; returns the new configuration and its trace event."""
+    Returns the new configuration, the trace rule and its detail, and the
+    processes that replaced each participant (what a trace event prints as
+    its right-hand side).
+    """
     if cfg.halted is not None:
         raise ValueError("cannot step a halted configuration")
     if any(k >= len(cfg.threads) for k in redex.participants):
@@ -400,34 +430,25 @@ def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuratio
         if not (isinstance(inp, CInput) and isinstance(out, COutput)):
             raise ValueError(f"stale redex: {redex}")
         mapping = {name: chan for (name, _), chan in zip(inp.binders, out.args)}
-        results = {i: substitute(inp.body, mapping), j: out.body}
-        lo, hi, before = _pair_strings(cfg, i, j)
-        after = f"{print_cast(results[lo])} | {print_cast(results[hi])}"
-        cfg2 = _rebuild(cfg, {i: [results[i]], j: [results[j]]})
-        return cfg2, TraceEvent(index, "comm", (), before, after)
+        results = {i: [substitute(inp.body, mapping)], j: [out.body]}
+        return _rebuild(cfg, results), "comm", (), results
 
     if redex.kind == "c-solve":
         i, j = redex.participants
         inp, out = cfg.threads[i], cfg.threads[j]
         if not (isinstance(inp, CInput) and isinstance(out, COutput)):
             raise ValueError(f"stale redex: {redex}")
-        lo, hi, before = _pair_strings(cfg, i, j)
-        out_result, out_applied = resolve_output_casts(out)
-        if isinstance(out_result, CastFailure):
-            halt = Halt(Status.TYPE_ERROR, out_result.failing, out_result.rule)
-            cfg2 = _rebuild(cfg, {i: [CTypeError()], j: []}, halted=halt)
-            return cfg2, TraceEvent(index, "c-solve", out_applied, before, "typeError")
-        in_result, in_applied = resolve_input_casts(inp, out_result)
-        applied = out_applied + in_applied
-        if isinstance(in_result, CastFailure):
-            halt = Halt(Status.TYPE_ERROR, in_result.failing, in_result.rule)
-            cfg2 = _rebuild(cfg, {i: [CTypeError()], j: []}, halted=halt)
-            return cfg2, TraceEvent(index, "c-solve", applied, before, "typeError")
-        inp2, out2 = in_result
-        results = {i: inp2, j: out2}
-        after = f"{print_cast(results[lo])} | {print_cast(results[hi])}"
-        cfg2 = _rebuild(cfg, {i: [inp2], j: [out2]})
-        return cfg2, TraceEvent(index, "c-solve", applied, before, after)
+        result, applied = resolve_output_casts(out)
+        if not isinstance(result, CastFailure):
+            result, in_applied = resolve_input_casts(inp, result)
+            applied += in_applied
+        if isinstance(result, CastFailure):
+            halt = Halt(Status.TYPE_ERROR, result.failing, result.rule)
+            results = {i: [CTypeError()], j: []}
+            return _rebuild(cfg, results, halted=halt), "c-solve", applied, results
+        inp2, out2 = result
+        results = {i: [inp2], j: [out2]}
+        return _rebuild(cfg, results), "c-solve", applied, results
 
     if redex.kind in ("choice-left", "choice-right"):
         (i,) = redex.participants
@@ -435,20 +456,31 @@ def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuratio
         if not isinstance(thread, CChoice):
             raise ValueError(f"stale redex: {redex}")
         side = "left" if redex.kind == "choice-left" else "right"
-        branch = thread.left if side == "left" else thread.right
-        cfg2 = _rebuild(cfg, {i: [branch]})
-        return cfg2, TraceEvent(index, "choice", (side,), print_cast(thread), print_cast(branch))
+        results = {i: [thread.left if side == "left" else thread.right]}
+        return _rebuild(cfg, results), "choice", (side,), results
 
     if redex.kind == "replicate":
         (i,) = redex.participants
         thread = cfg.threads[i]
         if not isinstance(thread, CReplicate):
             raise ValueError(f"stale redex: {redex}")
-        cfg2 = _rebuild(cfg, {i: [thread.body, thread]})
-        after = f"{print_cast(thread.body)} | {print_cast(thread)}"
-        return cfg2, TraceEvent(index, "replicate", (), print_cast(thread), after)
+        results = {i: [thread.body, thread]}
+        return _rebuild(cfg, results), "replicate", (), results
 
     raise ValueError(f"unknown redex kind: {redex.kind}")
+
+
+def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuration, TraceEvent]:
+    """Apply one redex; returns the new configuration and its trace event.
+
+    The event shows the participants before the step and what replaced
+    them after it, each side in thread order and joined by `` | ``.
+    """
+    cfg2, rule, detail, results = _reduce(cfg, redex)
+    order = sorted(redex.participants)
+    before = " | ".join(print_cast(cfg.threads[k]) for k in order)
+    after = " | ".join(print_cast(p) for k in order for p in results[k])
+    return cfg2, TraceEvent(index, rule, detail, before, after)
 
 
 # --------------------------------------------------------------------------
@@ -456,34 +488,37 @@ def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuratio
 # --------------------------------------------------------------------------
 
 
-def configuration_key(cfg: Configuration) -> str:
-    """A key equal only for alpha-equivalent configurations.
+def _multiset(items: Iterable[Hashable]) -> frozenset[tuple[Hashable, int]]:
+    return frozenset(Counter(items).items())
+
+
+def configuration_key(cfg: Configuration) -> Hashable:
+    """A hashable key equal only for alpha-equivalent configurations.
 
     Restricted names are renamed canonically (ordered by first use over a
     deterministic thread ordering), bound names canonically per thread, and
-    the resulting thread prints sorted into a multiset key.  Ties in the
-    masked ordering can split alpha-equivalent states into distinct keys,
-    which merely weakens deduplication, never corrupts it.
+    the canonical threads form a multiset.  Ties in the ordering can split
+    alpha-equivalent states into distinct keys, which merely weakens
+    deduplication, never corrupts it.
     """
-    restricted = [name for name, _ in cfg.restrictions]
-    mask = {name: CastChannel(Name("#r")) for name in restricted}
-    masked = [print_cast(canonical(substitute(t, mask))) for t in cfg.threads]
-    order = sorted(range(len(cfg.threads)), key=lambda k: (masked[k], print_cast(cfg.threads[k])))
     rename: dict[Name, CastChannel] = {}
-    counter = 0
-    for k in order:
-        for name in free_occurrence_order(cfg.threads[k]):
-            if name in mask and name not in rename:
-                rename[name] = CastChannel(Name("#r", counter))
-                counter += 1
-    types = {name: t for name, t in cfg.restrictions}
-    reslist = sorted(
-        (rename[name].base.index, str(types[name])) for name in restricted if name in rename
-    )
-    unused = sorted(str(types[name]) for name in restricted if name not in rename)
-    threads = sorted(print_cast(canonical(substitute(t, rename))) for t in cfg.threads)
-    halted = cfg.halted.status.value if cfg.halted else ""
-    return repr((reslist, unused, threads, halted))
+    if cfg.restrictions:
+        # The thread ordering compares printed forms, so that this key
+        # induces exactly the partition of the printed key it replaced.
+        mask = {name: CastChannel(Name("#r")) for name, _ in cfg.restrictions}
+        masked = [print_cast(canonical(substitute(t, mask))) for t in cfg.threads]
+        order = sorted(range(len(cfg.threads)), key=lambda k: (masked[k], print_cast(cfg.threads[k])))
+        for k in order:
+            for name in free_occurrence_order(cfg.threads[k]):
+                if name in mask and name not in rename:
+                    rename[name] = CastChannel(Name("#r", len(rename)))
+    threads = _multiset(canonical(substitute(t, rename) if rename else t) for t in cfg.threads)
+    halted = cfg.halted.status if cfg.halted else None
+    if not cfg.restrictions:
+        return threads, halted
+    used = frozenset((rename[name].base.index, t) for name, t in cfg.restrictions if name in rename)
+    unused = _multiset(t for name, t in cfg.restrictions if name not in rename)
+    return threads, halted, used, unused
 
 
 # --------------------------------------------------------------------------
@@ -544,35 +579,53 @@ def _run_sequential(cfg: Configuration, pick, max_steps: int) -> Outcome:
 
 
 def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
-    from collections import deque
+    """Breadth-first search over states, one witness per terminal status.
 
-    witnesses: dict[Status, Outcome] = {}
-    seen: dict[str, int] = {}
-    queue = deque([(cfg0, 0, ())])
+    Queue entries carry a parent pointer ``(parent, redex)`` instead of a
+    trace; only the witnesses' traces are rendered, by replaying their
+    redexes from ``cfg0``.
+    """
+    witnesses: dict[Status, tuple[Halt, Optional[tuple]]] = {}
+    seen: dict[Hashable, int] = {}
+    queue = deque([(cfg0, 0, None)])
     while queue:
-        cfg, d, trace = queue.popleft()
+        cfg, d, path = queue.popleft()
         key = configuration_key(cfg)
         prev = seen.get(key)
         if prev is not None and prev <= d:
             continue
         seen[key] = d
         if cfg.halted is not None:
-            witnesses.setdefault(cfg.halted.status, Outcome(cfg.halted.status, cfg.halted, trace))
+            witnesses.setdefault(cfg.halted.status, (cfg.halted, path))
             continue
         redexes = enumerate_redexes(cfg)
         if not redexes:
-            halt = Halt(Status.NORMAL_STUCK)
-            witnesses.setdefault(Status.NORMAL_STUCK, Outcome(halt.status, halt, trace))
+            witnesses.setdefault(Status.NORMAL_STUCK, (Halt(Status.NORMAL_STUCK), path))
             continue
         if d >= depth:
-            halt = Halt(Status.DEPTH_EXCEEDED)
-            witnesses.setdefault(Status.DEPTH_EXCEEDED, Outcome(halt.status, halt, trace))
+            witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), path))
             continue
         for redex in redexes:
-            cfg2, event = step(cfg, redex, len(trace))
-            queue.append((cfg2, d + 1, trace + (event,)))
-    ordered = tuple(witnesses[s] for s in _STATUS_ORDER if s in witnesses)
-    return RunReport(ordered)
+            queue.append((_reduce(cfg, redex)[0], d + 1, (path, redex)))
+    outcomes = []
+    for status in _STATUS_ORDER:
+        if status in witnesses:
+            halt, path = witnesses[status]
+            outcomes.append(Outcome(status, halt, _replay(cfg0, path)))
+    return RunReport(tuple(outcomes))
+
+
+def _replay(cfg: Configuration, path: Optional[tuple]) -> tuple[TraceEvent, ...]:
+    """The trace of the redexes on a parent-pointer path, from ``cfg``."""
+    redexes: list[Redex] = []
+    while path is not None:
+        path, redex = path
+        redexes.append(redex)
+    events = []
+    for index, redex in enumerate(reversed(redexes)):
+        cfg, event = step(cfg, redex, index)
+        events.append(event)
+    return tuple(events)
 
 
 def format_trace(outcome: Outcome) -> list[str]:

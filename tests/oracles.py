@@ -2,11 +2,15 @@
 
 The de Bruijn converter turns a process into a nested-tuple form in which
 bound occurrences are indices; comparing those forms is an alternative
-route to alpha-equivalence.
+route to alpha-equivalence.  The printed state key and the all-pairs
+redex enumeration are the runtime's earlier, slower implementations,
+kept as references for the structural key and the single-pass enumerator.
 """
 
 from __future__ import annotations
 
+from gradualpi.parser import print_cast
+from gradualpi.runtime import Configuration, Redex
 from gradualpi.syntax import (
     CastChannel,
     Choice,
@@ -27,6 +31,9 @@ from gradualpi.syntax import (
     Replicate,
     Restrict,
     ReverseOutput,
+    canonical,
+    free_occurrence_order,
+    substitute,
 )
 
 
@@ -72,3 +79,59 @@ def debruijn(p: Process, env: tuple[Name, ...] = ()):
 
 def oracle_alpha_equal(p: Process, q: Process) -> bool:
     return debruijn(p) == debruijn(q)
+
+
+def printed_configuration_key(cfg: Configuration) -> str:
+    """State key from sorted thread prints, restricted names numbered by
+    first use over the threads ordered by (masked print, print)."""
+    restricted = [name for name, _ in cfg.restrictions]
+    mask = {name: CastChannel(Name("#r")) for name in restricted}
+    masked = [print_cast(canonical(substitute(t, mask))) for t in cfg.threads]
+    order = sorted(range(len(cfg.threads)), key=lambda k: (masked[k], print_cast(cfg.threads[k])))
+    rename: dict[Name, CastChannel] = {}
+    for k in order:
+        for name in free_occurrence_order(cfg.threads[k]):
+            if name in mask and name not in rename:
+                rename[name] = CastChannel(Name("#r", len(rename)))
+    types = dict(cfg.restrictions)
+    reslist = sorted((rename[n].base.index, str(types[n])) for n in restricted if n in rename)
+    unused = sorted(str(types[n]) for n in restricted if n not in rename)
+    threads = sorted(print_cast(canonical(substitute(t, rename))) for t in cfg.threads)
+    halted = cfg.halted.status.value if cfg.halted else ""
+    return repr((reslist, unused, threads, halted))
+
+
+def _heads(term: Process) -> list[tuple[str, Name, int]]:
+    match term:
+        case CInput(c, binders, _):
+            return [("in", c.base, len(binders))]
+        case COutput(c, args, _):
+            return [("out", c.base, len(args))]
+        case CPar(l, r) | CChoice(l, r):
+            return _heads(l) + _heads(r)
+        case CRestrict(_, _, body) | CReplicate(body):
+            return _heads(body)
+    return []
+
+
+def naive_enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
+    """Every input paired with every output, single-thread redexes, then sorted."""
+    if cfg.halted is not None:
+        return ()
+    threads = list(enumerate(cfg.threads))
+    redexes = [
+        Redex("comm" if i.subject.is_bare and o.subject.is_bare else "c-solve", (k, j), i.subject.base)
+        for k, i in threads if isinstance(i, CInput)
+        for j, o in threads if isinstance(o, COutput)
+        if i.subject.base == o.subject.base and len(i.binders) == len(o.args)
+    ]
+    for k, t in threads:
+        if isinstance(t, CChoice):
+            redexes += [Redex("choice-left", (k,)), Redex("choice-right", (k,))]
+        elif isinstance(t, CReplicate):
+            mine = _heads(t.body)
+            pool = mine + [h for j, other in threads if j != k for h in _heads(other)]
+            if any(("in" if d == "out" else "out", b, n) in pool for d, b, n in mine):
+                redexes.append(Redex("replicate", (k,)))
+    rank = {"comm": 0, "c-solve": 0, "choice-left": 1, "choice-right": 2, "replicate": 3}
+    return tuple(sorted(redexes, key=lambda r: (r.participants[0], rank[r.kind], r.participants[1:])))

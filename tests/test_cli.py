@@ -231,3 +231,29 @@ def test_prompts_go_to_stderr_trace_to_stdout(capsys):
     assert "choose a redex" in err
     assert "choose a redex" not in out
     assert out.startswith("#0 [choice: right]")
+
+
+def test_deep_prefix_chain_is_internal_error_exit_seventy(capsys, tmp_path):
+    chain = tmp_path / "chain.gpi"
+    chain.write_text("chan a : o();\nrun " + "a!<>." * 2000 + "0\n", encoding="utf-8")
+    for command in ("check", "run"):
+        code, _, err = run_cli(capsys, command, str(chain))
+        assert code == 70
+        assert err.startswith("gradualpi: internal error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_malformed_cast_is_internal_error_exit_seventy(capsys, monkeypatch):
+    import gradualpi.runtime as runtime
+
+    def broken(out):
+        raise runtime.MalformedCastError("output subject cast does not end in an output capability")
+
+    monkeypatch.setattr(runtime, "resolve_output_casts", broken)
+    code, out, err = run_cli(capsys, "run", corpus("race.gpi"), "--trace")
+    assert code == 70
+    assert out == ""
+    assert err == (
+        "gradualpi: internal error: MalformedCastError: "
+        "output subject cast does not end in an output capability\n"
+    )

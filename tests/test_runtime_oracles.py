@@ -1,0 +1,141 @@
+"""The runtime's state key, witness traces and redex order against oracles.
+
+The structural `configuration_key` must induce exactly the partition of
+states that the printed key induces, the explorer's replayed witnesses
+must print exactly what an explorer rendering every step eagerly prints,
+and the single-pass `enumerate_redexes` must return exactly the tuple of
+the all-pairs-then-sort reference.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+from collections import deque
+
+from conftest import RUNNABLE_CORPUS, compile_corpus
+from gen import random_party_set
+from gradualpi.castinsert import insert_casts
+from gradualpi.runtime import (
+    Exhaustive,
+    Halt,
+    Outcome,
+    Status,
+    configuration_key,
+    enumerate_redexes,
+    format_trace,
+    normalize,
+    run,
+    step,
+)
+from gradualpi.syntax import DYN, CPar, CRestrict, free_names
+from gradualpi.typecheck import check
+from oracles import naive_enumerate_redexes, printed_configuration_key
+
+DRAWS = 200
+
+
+def corpus_configs():
+    return [compile_corpus(*names) for names in RUNNABLE_CORPUS]
+
+
+def party_configs(seed: int, count: int = DRAWS):
+    """`count` compositions of well-typed random parties, some with `dyn`.
+
+    Every other composition has one to three of its free channels
+    restricted, so that keys with restricted names are exercised too.
+    """
+    rng = random.Random(seed)
+    configs = []
+    while len(configs) < count:
+        parties = [(env, proc) for env, proc in random_party_set(rng, allow_dyn=True) if check(env, proc).ok]
+        if not parties:
+            continue
+        compiled = [insert_casts(env, proc).proc for env, proc in parties]
+        protected = frozenset().union(
+            *(free_names(proc) for proc in compiled), *({n for n, _ in env.bindings} for env, _ in parties)
+        )
+        composed = functools.reduce(CPar, compiled)
+        if len(configs) % 2:
+            for name in sorted(free_names(composed))[: 1 + len(configs) % 3]:
+                composed = CRestrict(name, DYN, composed)
+        configs.append(normalize(composed, protected))
+    return configs
+
+
+def assert_same_partition(cfg0, depth: int) -> int:
+    """Breadth-first to `depth`; every state reached gets both keys."""
+    to_printed: dict = {}
+    to_structural: dict = {}
+    expanded: set[str] = set()
+    frontier = [cfg0]
+    for d in range(depth + 1):
+        successors = []
+        for cfg in frontier:
+            structural, printed = configuration_key(cfg), printed_configuration_key(cfg)
+            assert to_printed.setdefault(structural, printed) == printed
+            assert to_structural.setdefault(printed, structural) == structural
+            if d < depth and cfg.halted is None and printed not in expanded:
+                expanded.add(printed)
+                successors.extend(step(cfg, redex)[0] for redex in enumerate_redexes(cfg))
+        frontier = successors
+    return len(to_printed)
+
+
+def test_structural_key_partitions_states_like_the_printed_key():
+    states = 0
+    restricted = 0
+    for cfg in corpus_configs() + party_configs(211):
+        restricted += bool(cfg.restrictions)
+        states += assert_same_partition(cfg, depth=10)
+    assert restricted >= DRAWS // 3 and states > 500
+
+
+def eager_explore(cfg0, depth: int) -> list[Outcome]:
+    """Breadth-first search rendering every step's trace event as it goes."""
+    witnesses: dict[Status, Outcome] = {}
+    seen: dict[str, int] = {}
+    queue = deque([(cfg0, 0, ())])
+    while queue:
+        cfg, d, trace = queue.popleft()
+        key = printed_configuration_key(cfg)
+        if seen.get(key, d + 1) <= d:
+            continue
+        seen[key] = d
+        if cfg.halted is not None:
+            witnesses.setdefault(cfg.halted.status, Outcome(cfg.halted.status, cfg.halted, trace))
+            continue
+        redexes = enumerate_redexes(cfg)
+        status = Status.NORMAL_STUCK if not redexes else Status.DEPTH_EXCEEDED if d >= depth else None
+        if status is not None:
+            witnesses.setdefault(status, Outcome(status, Halt(status), trace))
+            continue
+        for redex in redexes:
+            cfg2, event = step(cfg, redex, len(trace))
+            queue.append((cfg2, d + 1, trace + (event,)))
+    order = (Status.NORMAL_STUCK, Status.TYPE_ERROR, Status.DEPTH_EXCEEDED)
+    return [witnesses[s] for s in order if s in witnesses]
+
+
+def test_replayed_witnesses_print_like_eagerly_rendered_ones():
+    for cfg in corpus_configs() + party_configs(223):
+        report = run(cfg, Exhaustive(8))
+        expected = eager_explore(cfg, 8)
+        assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected]
+        assert [o.halt for o in report.outcomes] == [o.halt for o in expected]
+
+
+def test_redex_order_matches_the_all_pairs_reference():
+    compared = 0
+    for cfg0 in corpus_configs() + party_configs(227):
+        for seed in range(3):
+            rng = random.Random(seed)
+            cfg = cfg0
+            for index in range(60):
+                redexes = enumerate_redexes(cfg)
+                assert redexes == naive_enumerate_redexes(cfg)
+                compared += 1
+                if not redexes:
+                    break
+                cfg, _ = step(cfg, redexes[rng.randrange(len(redexes))], index)
+    assert compared > 3 * DRAWS
