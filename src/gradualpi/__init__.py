@@ -43,7 +43,6 @@ from .syntax import (
     Name,
     TypeEnv,
     alpha_equal,
-    ch,
     free_names,
     substitute,
 )

@@ -42,8 +42,6 @@ from .syntax import (
     Type,
     TypeEnv,
     free_names,
-    substitute,
-    substitute_surface,
 )
 
 
@@ -208,22 +206,24 @@ class _Parser:
     # -- processes ---------------------------------------------------------
 
     def parse_process(self) -> SurfaceProcess:
-        start = self.peek()
-        left = self.parse_choice()
-        if self.peek().kind == "|":
-            self.next()
-            right = self.parse_process()
-            return Par(left, right, self._span(start))
-        return left
+        return self.parse_chain("|", Par, self.parse_choice)
 
     def parse_choice(self) -> SurfaceProcess:
-        start = self.peek()
-        left = self.parse_prefix()
-        if self.peek().kind == "+":
+        return self.parse_chain("+", Choice, self.parse_prefix)
+
+    def parse_chain(self, op: str, node, parse_operand) -> SurfaceProcess:
+        """`operand (op operand)*`, folded to the right; every node's span
+        runs from its first operand to the end of the chain."""
+        starts = [self.peek()]
+        operands = [parse_operand()]
+        while self.peek().kind == op:
             self.next()
-            right = self.parse_choice()
-            return Choice(left, right, self._span(start))
-        return left
+            starts.append(self.peek())
+            operands.append(parse_operand())
+        proc = operands.pop()
+        while operands:
+            proc = node(operands.pop(), proc, self._span(starts[len(operands)]))
+        return proc
 
     def parse_prefix(self) -> SurfaceProcess:
         tok = self.peek()
@@ -378,6 +378,7 @@ def parse_process(text: str) -> SurfaceProcess:
 # --------------------------------------------------------------------------
 
 _PAR, _CHOICE, _PREFIX = 0, 1, 2
+_SHARED = object()  # owner of a text that two distinct free names render
 
 
 def format_channel(c: CastChannel) -> str:
@@ -385,11 +386,14 @@ def format_channel(c: CastChannel) -> str:
 
     Stacks whose frames do not chain are printed as nested groups.
     """
-    if c.is_bare:
-        return str(c.base)
-    out = str(c.base)
-    chain: list[Type] = [c.casts[0][0], c.casts[0][1]]
-    for source, target in c.casts[1:]:
+    return _cast_chain(str(c.base), c.casts)
+
+
+def _cast_chain(out: str, casts: tuple[tuple[Type, Type], ...]) -> str:
+    if not casts:
+        return out
+    chain: list[Type] = [casts[0][0], casts[0][1]]
+    for source, target in casts[1:]:
         if source == chain[-1]:
             chain.append(target)
         else:
@@ -399,73 +403,117 @@ def format_channel(c: CastChannel) -> str:
 
 
 def print_surface(p: SurfaceProcess) -> str:
-    """Deterministic text that re-parses to an alpha-equivalent process."""
-    return _fmt(p, _PAR)
+    """Deterministic text that re-parses to an alpha-equivalent process.
+
+    A binder whose text another name in its scope already renders, such as
+    a renamed `x'1` next to a written `x'1`, prints with a bumped index.
+    """
+    return _fmt(p, _PAR, _Env(p))
 
 
 def print_cast(p: CastProcess) -> str:
     """Deterministic text for cast-calculus terms; `typeError` prints as such."""
-    return _fmt(p, _PAR)
+    return _fmt(p, _PAR, _Env(p))
 
 
-def _fmt(p: Process, want: int) -> str:
-    s, level = _raw(p)
+class _Env:
+    """The text of the names in one printed term.
+
+    Only a name with an index or a quote in its base renders like another
+    (`Name("x", 1)` and `Name("x'1")` both print `x'1`), so only such
+    binders are checked.  `text` maps each of them in scope to its text;
+    `owner` maps each text in use to its name: those binders and the free
+    names of the whole term, collected when the first of them is met.
+    """
+
+    __slots__ = ("root", "text", "owner")
+
+    def __init__(self, root: Process):
+        self.root = root
+        self.text: dict[Name, str] = {}
+        self.owner: Optional[dict[str, object]] = None
+
+    def show(self, n: Name) -> str:
+        return (self.text.get(n) or str(n)) if self.text else str(n)
+
+    def bind(self, binders: tuple[tuple[Name, Type], ...]) -> tuple[str, list]:
+        """Bring `binders` into scope; returns their text and the undo log.
+
+        A binder keeps `str(name)` unless another visible name renders that
+        text; then its index is bumped until the text is unused.
+        """
+        undo = []
+        for n, _ in binders:
+            if not n.index and "'" not in n.base:
+                continue
+            owner = self.owner
+            if owner is None:
+                owner = self.owner = {}
+                for free in free_names(self.root):
+                    owner[str(free)] = _SHARED if str(free) in owner else free
+            m, s = n, str(n)
+            while (held := owner.get(s, n)) is not n and held != n:
+                m = Name(m.base, m.index + 1)
+                s = str(m)
+            undo += ((self.text, n, self.text.get(n)), (owner, s, owner.get(s)))
+            self.text[n] = s
+            owner[s] = n
+        return ", ".join(f"{self.show(n)}:{t}" for n, t in binders), undo
+
+    @staticmethod
+    def unbind(undo: list) -> None:
+        for table, key, old in reversed(undo):
+            if old is None:
+                del table[key]
+            else:
+                table[key] = old
+
+
+def _fmt(p: Process, want: int, env: _Env) -> str:
+    s, level = _raw(p, env)
     return f"({s})" if level < want else s
 
 
-def _binder_list(binders: tuple[tuple[Name, Type], ...]) -> str:
-    return ", ".join(f"{n}:{t}" for n, t in binders)
-
-
-def _safe_binders(binders, body, is_surface: bool):
-    """Rename binders whose rendering would collide with a free name's."""
-    free_renders = {str(n) for n in free_names(body) - {n for n, _ in binders}}
-    taken: set[str] = set()
-    out = []
-    for n, t in binders:
-        m = n
-        while str(m) in free_renders or str(m) in taken:
-            m = Name(m.base, m.index + 1)
-        if m != n:
-            if is_surface:
-                body = substitute_surface(body, {n: m})
-            else:
-                body = substitute(body, {n: CastChannel(m)})
-        taken.add(str(m))
-        out.append((m, t))
-    return tuple(out), body
-
-
-def _raw(p: Process) -> tuple[str, int]:
+def _raw(p: Process, env: _Env) -> tuple[str, int]:
     match p:
         case Nil() | CNil():
             return "0", _PREFIX
         case CTypeError():
             return "typeError", _PREFIX
-        case Input(a, binders, body):
-            binders, body = _safe_binders(binders, body, True)
-            return f"{a}?({_binder_list(binders)}).{_fmt(body, _PREFIX)}", _PREFIX
-        case CInput(c, binders, body):
-            binders, body = _safe_binders(binders, body, False)
-            return f"{format_channel(c)}?({_binder_list(binders)}).{_fmt(body, _PREFIX)}", _PREFIX
-        case Output(a, args, body):
-            inner = ", ".join(str(x) for x in args)
-            return f"{a}!<{inner}>.{_fmt(body, _PREFIX)}", _PREFIX
-        case ReverseOutput(a, args, body):
-            inner = ", ".join(str(x) for x in args)
-            return f"{a}!!<{inner}>.{_fmt(body, _PREFIX)}", _PREFIX
+        case Input(a, binders, body) | CInput(a, binders, body):
+            subject = env.show(a) if isinstance(p, Input) else _cast_chain(env.show(a.base), a.casts)
+            binder_list, undo = env.bind(binders)
+            text = f"{subject}?({binder_list}).{_fmt(body, _PREFIX, env)}"
+            env.unbind(undo)
+            return text, _PREFIX
+        case Output(a, args, body) | ReverseOutput(a, args, body):
+            inner = ", ".join(env.show(x) for x in args)
+            bang = "!" if isinstance(p, Output) else "!!"
+            return f"{env.show(a)}{bang}<{inner}>.{_fmt(body, _PREFIX, env)}", _PREFIX
         case COutput(c, args, body):
-            inner = ", ".join(format_channel(x) for x in args)
-            return f"{format_channel(c)}!<{inner}>.{_fmt(body, _PREFIX)}", _PREFIX
-        case Par(l, r) | CPar(l, r):
-            return f"{_fmt(l, _CHOICE)} | {_fmt(r, _PAR)}", _PAR
-        case Choice(l, r) | CChoice(l, r):
-            return f"{_fmt(l, _PREFIX)} + {_fmt(r, _CHOICE)}", _CHOICE
+            inner = ", ".join(_cast_chain(env.show(x.base), x.casts) for x in args)
+            return f"{_cast_chain(env.show(c.base), c.casts)}!<{inner}>.{_fmt(body, _PREFIX, env)}", _PREFIX
+        case Par() | CPar():
+            parts = []
+            while isinstance(p, (Par, CPar)):  # the right spine, iteratively
+                parts.append(_fmt(p.left, _CHOICE, env))
+                p = p.right
+            parts.append(_fmt(p, _PAR, env))
+            return " | ".join(parts), _PAR
+        case Choice() | CChoice():
+            parts = []
+            while isinstance(p, (Choice, CChoice)):
+                parts.append(_fmt(p.left, _PREFIX, env))
+                p = p.right
+            parts.append(_fmt(p, _CHOICE, env))
+            return " + ".join(parts), _CHOICE
         case Restrict(x, t, body) | CRestrict(x, t, body):
-            (binder,), body = _safe_binders(((x, t),), body, isinstance(p, Restrict))
-            return f"new ({binder[0]}:{binder[1]}) {_fmt(body, _PREFIX)}", _PREFIX
+            binder, undo = env.bind(((x, t),))
+            text = f"new ({binder}) {_fmt(body, _PREFIX, env)}"
+            env.unbind(undo)
+            return text, _PREFIX
         case Replicate(body) | CReplicate(body):
-            inner = _fmt(body, _PREFIX)
+            inner = _fmt(body, _PREFIX, env)
             if isinstance(body, (Replicate, CReplicate)):
                 inner = f"({inner})"
             return f"!{inner}", _PREFIX

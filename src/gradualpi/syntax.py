@@ -84,12 +84,6 @@ class Span:
     end_line: int
     end_col: int
 
-    def contains(self, other: "Span") -> bool:
-        return (self.line, self.col) <= (other.line, other.col) and (
-            other.end_line,
-            other.end_col,
-        ) <= (self.end_line, self.end_col)
-
 
 class UnboundNameError(LookupError):
     """Lookup of a channel that the environment does not bind."""
@@ -209,11 +203,6 @@ class CastChannel:
         if source == target:
             return self
         return CastChannel(self.base, self.casts + ((source, target),))
-
-
-def ch(c: CastChannel) -> Name:
-    """The channel name at the bottom of the cast stack."""
-    return c.base
 
 
 @dataclass(frozen=True)
@@ -386,134 +375,8 @@ def _subst(p: CastProcess, mapping: dict[Name, CastChannel]) -> CastProcess:
     raise TypeError(f"not a cast process: {p!r}")
 
 
-def substitute_surface(p: SurfaceProcess, mapping: Mapping[Name, Name]) -> SurfaceProcess:
-    """Capture-avoiding name-for-name substitution on surface processes."""
-    if not mapping:
-        return p
-    return _subst_s(p, dict(mapping))
-
-
-def _subst_s_binders(binders, body, mapping):
-    names = [n for n, _ in binders]
-    inner = {k: v for k, v in mapping.items() if k not in names}
-    if not inner:
-        return binders, body, inner
-    clashes = set(inner.values())
-    out: list[tuple[Name, Type]] = []
-    for n, t in binders:
-        if n in clashes:
-            avoid = free_names(body) | clashes | set(inner) | {m for m, _ in binders} | {m for m, _ in out}
-            fresh = fresh_name(n, avoid)
-            body = _subst_s(body, {n: fresh})
-            out.append((fresh, t))
-        else:
-            out.append((n, t))
-    return tuple(out), body, inner
-
-
-def _subst_s(p: SurfaceProcess, mapping: dict[Name, Name]) -> SurfaceProcess:
-    def name(n: Name) -> Name:
-        return mapping.get(n, n)
-
-    match p:
-        case Nil():
-            return p
-        case Output(a, args, body):
-            return Output(name(a), tuple(name(x) for x in args), _subst_s(body, mapping))
-        case ReverseOutput(a, args, body):
-            return ReverseOutput(name(a), tuple(name(x) for x in args), _subst_s(body, mapping))
-        case Input(a, binders, body):
-            binders2, body2, inner = _subst_s_binders(binders, body, mapping)
-            body3 = _subst_s(body2, inner) if inner else body2
-            return Input(name(a), binders2, body3)
-        case Restrict(x, t, body):
-            binders2, body2, inner = _subst_s_binders(((x, t),), body, mapping)
-            body3 = _subst_s(body2, inner) if inner else body2
-            return Restrict(binders2[0][0], t, body3)
-        case Par(l, r):
-            return Par(_subst_s(l, mapping), _subst_s(r, mapping))
-        case Choice(l, r):
-            return Choice(_subst_s(l, mapping), _subst_s(r, mapping))
-        case Replicate(body):
-            return Replicate(_subst_s(body, mapping))
-    raise TypeError(f"not a surface process: {p!r}")
-
-
 # --------------------------------------------------------------------------
-# Alpha-equivalence
-# --------------------------------------------------------------------------
-
-
-def alpha_equal(p: Process, q: Process) -> bool:
-    """True iff the processes differ only in bound names.
-
-    Cast stacks and type annotations compare syntactically.
-    """
-    return _alpha(p, q, {}, {}, 0)
-
-
-def _alpha_name(a: Name, b: Name, e1: dict[Name, int], e2: dict[Name, int]) -> bool:
-    l1, l2 = e1.get(a), e2.get(b)
-    if (l1 is None) != (l2 is None):
-        return False
-    return a == b if l1 is None else l1 == l2
-
-
-def _alpha_chan(c: CastChannel, d: CastChannel, e1, e2) -> bool:
-    return c.casts == d.casts and _alpha_name(c.base, d.base, e1, e2)
-
-
-def _alpha(p: Process, q: Process, e1: dict[Name, int], e2: dict[Name, int], depth: int) -> bool:
-    if type(p) is not type(q):
-        return False
-    if isinstance(p, (Nil, CNil, CTypeError)):
-        return True
-    if isinstance(p, (Par, Choice, CPar, CChoice)):
-        return _alpha(p.left, q.left, e1, e2, depth) and _alpha(p.right, q.right, e1, e2, depth)
-    if isinstance(p, (Replicate, CReplicate)):
-        return _alpha(p.body, q.body, e1, e2, depth)
-    if isinstance(p, (Restrict, CRestrict)):
-        if p.type != q.type:
-            return False
-        return _alpha(p.body, q.body, {**e1, p.name: depth}, {**e2, q.name: depth}, depth + 1)
-    if isinstance(p, (Input, CInput)):
-        if len(p.binders) != len(q.binders):
-            return False
-        if [t for _, t in p.binders] != [t for _, t in q.binders]:
-            return False
-        if isinstance(p, Input):
-            if not _alpha_name(p.subject, q.subject, e1, e2):
-                return False
-        else:
-            if not _alpha_chan(p.subject, q.subject, e1, e2):
-                return False
-        f1, f2 = dict(e1), dict(e2)
-        d = depth
-        for (n1, _), (n2, _) in zip(p.binders, q.binders):
-            f1[n1], f2[n2] = d, d
-            d += 1
-        return _alpha(p.body, q.body, f1, f2, d)
-    if isinstance(p, (Output, ReverseOutput)):
-        if len(p.args) != len(q.args):
-            return False
-        if not _alpha_name(p.subject, q.subject, e1, e2):
-            return False
-        if not all(_alpha_name(a, b, e1, e2) for a, b in zip(p.args, q.args)):
-            return False
-        return _alpha(p.body, q.body, e1, e2, depth)
-    if isinstance(p, COutput):
-        if len(p.args) != len(q.args):
-            return False
-        if not _alpha_chan(p.subject, q.subject, e1, e2):
-            return False
-        if not all(_alpha_chan(a, b, e1, e2) for a, b in zip(p.args, q.args)):
-            return False
-        return _alpha(p.body, q.body, e1, e2, depth)
-    raise TypeError(f"not a process: {p!r}")
-
-
-# --------------------------------------------------------------------------
-# Canonical bound-name renaming (used for state hashing)
+# Canonical bound-name renaming (alpha-equivalence and state hashing)
 # --------------------------------------------------------------------------
 
 _CANON_BASE = "#b"  # '#' cannot appear in a parsed identifier
@@ -525,6 +388,14 @@ def canonical(p: Process) -> Process:
     Two processes are alpha-equivalent iff their canonical forms are equal.
     """
     return _canon(p, {}, [0])
+
+
+def alpha_equal(p: Process, q: Process) -> bool:
+    """True iff the processes differ only in bound names.
+
+    Cast stacks and type annotations compare syntactically.
+    """
+    return canonical(p) == canonical(q)
 
 
 def _canon_name(n: Name, env: dict[Name, Name]) -> Name:

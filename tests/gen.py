@@ -75,46 +75,63 @@ def random_subject_chain(rng: random.Random, cap: Capability, depth: int) -> tup
 _FREE_POOL = tuple(Name(b) for b in ("a", "b", "c", "x", "y", "m"))
 
 
-def _pick_name(rng: random.Random, scope: list[Name]) -> Name:
+def _pick_name(rng: random.Random, scope: list[Name], free_pool: tuple[Name, ...]) -> Name:
     if scope and rng.random() < 0.5:
         return rng.choice(scope)
-    return rng.choice(_FREE_POOL)
+    return rng.choice(free_pool)
 
 
-def _binder_name(rng: random.Random, taken: set[Name]) -> Name:
+def _binder_name(
+    rng: random.Random, taken: set[Name], binder_pool: Optional[tuple[Name, ...]] = None
+) -> Name:
     while True:
-        name = Name(rng.choice("xyzuv"), rng.choice((0, 0, 0, 1, 2)))
+        if binder_pool:
+            name = rng.choice(binder_pool)
+        else:
+            name = Name(rng.choice("xyzuv"), rng.choice((0, 0, 0, 1, 2)))
         if name not in taken:
             return name
 
 
-def random_surface(rng: random.Random, fuel: int = 6, scope: Optional[list[Name]] = None) -> SurfaceProcess:
+def random_surface(
+    rng: random.Random,
+    fuel: int = 6,
+    scope: Optional[list[Name]] = None,
+    free_pool: tuple[Name, ...] = _FREE_POOL,
+    binder_pool: Optional[tuple[Name, ...]] = None,
+) -> SurfaceProcess:
+    """A random surface term; free names come from `free_pool`, binders from
+    `binder_pool` (default: `x`..`v` with index 0 to 2)."""
     scope = list(scope or ())
     if fuel <= 0:
         return Nil()
+
+    def sub(fuel: int, scope: list[Name]) -> SurfaceProcess:
+        return random_surface(rng, fuel, scope, free_pool, binder_pool)
+
     roll = rng.random()
     if roll < 0.12:
         return Nil()
     if roll < 0.30:
         node = Par if rng.random() < 0.5 else Choice
-        return node(random_surface(rng, fuel // 2, scope), random_surface(rng, fuel // 2, scope))
+        return node(sub(fuel // 2, scope), sub(fuel // 2, scope))
     if roll < 0.38:
-        return Replicate(random_surface(rng, fuel - 1, scope))
+        return Replicate(sub(fuel - 1, scope))
     if roll < 0.50:
-        name = _binder_name(rng, set())
-        return Restrict(name, random_type(rng), random_surface(rng, fuel - 1, scope + [name]))
+        name = _binder_name(rng, set(), binder_pool)
+        return Restrict(name, random_type(rng), sub(fuel - 1, scope + [name]))
     if roll < 0.72:
         taken: set[Name] = set()
         binders = []
         for _ in range(rng.choice((0, 1, 1, 2))):
-            name = _binder_name(rng, taken)
+            name = _binder_name(rng, taken, binder_pool)
             taken.add(name)
             binders.append((name, random_type(rng)))
-        body = random_surface(rng, fuel - 1, scope + [n for n, _ in binders])
-        return Input(_pick_name(rng, scope), tuple(binders), body)
+        body = sub(fuel - 1, scope + [n for n, _ in binders])
+        return Input(_pick_name(rng, scope, free_pool), tuple(binders), body)
     node = Output if rng.random() < 0.7 else ReverseOutput
-    args = tuple(_pick_name(rng, scope) for _ in range(rng.choice((0, 1, 1, 2))))
-    return node(_pick_name(rng, scope), args, random_surface(rng, fuel - 1, scope))
+    args = tuple(_pick_name(rng, scope, free_pool) for _ in range(rng.choice((0, 1, 1, 2))))
+    return node(_pick_name(rng, scope, free_pool), args, sub(fuel - 1, scope))
 
 
 # --------------------------------------------------------------------------

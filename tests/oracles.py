@@ -2,14 +2,16 @@
 
 The de Bruijn converter turns a process into a nested-tuple form in which
 bound occurrences are indices; comparing those forms is an alternative
-route to alpha-equivalence.  The printed state key and the all-pairs
-redex enumeration are the runtime's earlier, slower implementations,
-kept as references for the structural key and the single-pass enumerator.
+route to alpha-equivalence.  The reference printer renames nothing, so it
+is what the printers must produce whenever no two names render alike.  The
+printed state key and the all-pairs redex enumeration are the runtime's
+earlier, slower implementations, kept as references for the structural key
+and the single-pass enumerator.
 """
 
 from __future__ import annotations
 
-from gradualpi.parser import print_cast
+from gradualpi.parser import format_channel, print_cast
 from gradualpi.runtime import Configuration, Redex
 from gradualpi.syntax import (
     CastChannel,
@@ -79,6 +81,61 @@ def debruijn(p: Process, env: tuple[Name, ...] = ()):
 
 def oracle_alpha_equal(p: Process, q: Process) -> bool:
     return debruijn(p) == debruijn(q)
+
+
+def all_names(p: Process) -> set[Name]:
+    """Every name in the term, free or bound."""
+    match p:
+        case Input(a, binders, body):
+            return {a, *(n for n, _ in binders)} | all_names(body)
+        case CInput(c, binders, body):
+            return {c.base, *(n for n, _ in binders)} | all_names(body)
+        case Output(a, args, body) | ReverseOutput(a, args, body):
+            return {a, *args} | all_names(body)
+        case COutput(c, args, body):
+            return {c.base, *(x.base for x in args)} | all_names(body)
+        case Par(l, r) | Choice(l, r) | CPar(l, r) | CChoice(l, r):
+            return all_names(l) | all_names(r)
+        case Restrict(x, _, body) | CRestrict(x, _, body):
+            return {x} | all_names(body)
+        case Replicate(body) | CReplicate(body):
+            return all_names(body)
+    return set()
+
+
+def renders_injectively(p: Process) -> bool:
+    names = all_names(p)
+    return len({str(n) for n in names}) == len(names)
+
+
+def reference_print(p: Process, want: int = 0) -> str:
+    """Printer text with every name as `str(name)`; `want` is the loosest
+    operator allowed unparenthesised (0 `|`, 1 `+`, 2 prefix)."""
+    match p:
+        case Nil() | CNil():
+            text, level = "0", 2
+        case CTypeError():
+            text, level = "typeError", 2
+        case Input(a, binders, body) | CInput(a, binders, body):
+            subject = str(a) if isinstance(p, Input) else format_channel(a)
+            inner = ", ".join(f"{n}:{t}" for n, t in binders)
+            text, level = f"{subject}?({inner}).{reference_print(body, 2)}", 2
+        case Output(a, args, body) | ReverseOutput(a, args, body):
+            bang = "!" if isinstance(p, Output) else "!!"
+            text, level = f"{a}{bang}<{', '.join(map(str, args))}>.{reference_print(body, 2)}", 2
+        case COutput(c, args, body):
+            inner = ", ".join(map(format_channel, args))
+            text, level = f"{format_channel(c)}!<{inner}>.{reference_print(body, 2)}", 2
+        case Par(l, r) | CPar(l, r):
+            text, level = f"{reference_print(l, 1)} | {reference_print(r, 0)}", 0
+        case Choice(l, r) | CChoice(l, r):
+            text, level = f"{reference_print(l, 2)} + {reference_print(r, 1)}", 1
+        case Restrict(x, t, body) | CRestrict(x, t, body):
+            text, level = f"new ({x}:{t}) {reference_print(body, 2)}", 2
+        case Replicate(body) | CReplicate(body):
+            inner = reference_print(body, 2)
+            text, level = "!" + (f"({inner})" if isinstance(body, (Replicate, CReplicate)) else inner), 2
+    return f"({text})" if level < want else text
 
 
 def printed_configuration_key(cfg: Configuration) -> str:

@@ -243,6 +243,15 @@ def test_deep_prefix_chain_is_internal_error_exit_seventy(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def test_wide_composition_compiles(capsys, tmp_path):
+    for op in ("|", "+"):
+        wide = tmp_path / "wide.gpi"
+        wide.write_text("chan a : o();\nrun " + f" {op} ".join(["a!<>"] * 600) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "compile", str(wide))
+        assert (code, err) == (0, "")
+        assert out == f" {op} ".join(["a!<>.0"] * 600) + "\n"
+
+
 def test_malformed_cast_is_internal_error_exit_seventy(capsys, monkeypatch):
     import gradualpi.runtime as runtime
 

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from conftest import CORPUS, load
+from conftest import CORPUS, RUNNABLE_CORPUS, compile_corpus, load
 from gen import random_surface
+from oracles import reference_print, renders_injectively
+from gradualpi.castinsert import insert_casts
 from gradualpi.parser import (
     DuplicateDeclarationError,
     GpiParseError,
@@ -32,9 +34,12 @@ from gradualpi.syntax import (
     Replicate,
     Restrict,
     ReverseOutput,
+    Span,
     alpha_equal,
     free_names,
 )
+from gradualpi.runtime import enumerate_redexes, step
+from gradualpi.typecheck import check
 
 T = ChanType(Capability.OUT, ())
 
@@ -72,6 +77,8 @@ def test_parse_precedence_and_associativity():
     assert isinstance(right, Par) and isinstance(right.right, Par)
     plus = parse_process("a!<> + b!<> + c!<>")
     assert isinstance(plus, Choice) and isinstance(plus.right, Choice)
+    for chain in (right, plus):  # each node spans from its first operand to the end of the chain
+        assert (chain.span, chain.right.span) == (Span(1, 1, 1, 19), Span(1, 8, 1, 19))
 
 
 def test_parse_prefix_binds_tighter_than_choice():
@@ -153,23 +160,119 @@ def test_print_is_deterministic():
         assert print_surface(proc) == print_surface(proc)
 
 
+def test_printers_match_the_reference_wherever_names_render_injectively():
+    rng = random.Random(37)
+    surface = [random_surface(rng, 6) for _ in range(300)]
+    programs = [load(path.name) for path in sorted(CORPUS.glob("*.gpi"))]
+    compiled = [insert_casts(p.env, p.proc).proc for p in programs if check(p.env, p.proc).ok]
+    threads = []
+    for names in RUNNABLE_CORPUS:
+        cfg0 = compile_corpus(*names)
+        for seed in range(3):
+            pick, cfg = random.Random(seed), cfg0
+            for index in range(60):
+                threads.extend(cfg.threads)
+                redexes = enumerate_redexes(cfg)
+                if not redexes:
+                    break
+                cfg, _ = step(cfg, redexes[pick.randrange(len(redexes))], index)
+    for printer, terms, least in (
+        (print_surface, surface + [p.proc for p in programs], 300),
+        (print_cast, compiled, len(programs) // 2),
+        (print_cast, threads, 200),
+    ):
+        compared = [term for term in terms if renders_injectively(term)]
+        assert len(compared) >= least
+        for term in compared:
+            assert printer(term) == reference_print(term)
+
+
+# Binders and literal identifiers that render alike: Name("x", 1) and
+# Name("x'1") both print as x'1, and Name("x'1", 1) as x'1'1.
+_CLASH_BINDERS = (Name("x"), Name("x", 1), Name("x'1"), Name("x", 2), Name("x'1", 1), Name("x'2"))
+_CLASH_FREE = (Name("a"), Name("x"), Name("x'1"), Name("x'2"), Name("x'1'1"))
+
+
+def _count_renamed_binders(p, again, scope, counts) -> None:
+    """Walk a term and its re-parse together, counting binders printed
+    under another text and binders whose text an enclosing binder renders."""
+    if isinstance(p, (Input, Restrict)):
+        if isinstance(p, Input):
+            pairs = [(n, m) for (n, _), (m, _) in zip(p.binders, again.binders)]
+        else:
+            pairs = [(p.name, again.name)]
+        for n, m in pairs:
+            counts[type(p).__name__] += str(n) != m.base
+            counts["nested"] += scope.get(str(n), n) != n
+        scope = {**scope, **{str(n): n for n, _ in pairs}}
+    for attr in ("body", "left", "right"):
+        child = getattr(p, attr, None)
+        if child is not None:
+            _count_renamed_binders(child, getattr(again, attr), scope, counts)
+
+
 def test_print_renames_binder_clashing_with_free_rendering():
-    # binder (x,1) renders as x'1; a literal free channel x'1 must not be captured
-    clash = Name("x'1")
-    proc = Input(Name("a"), ((Name("x", 1), DYN),), Output(clash, (Name("x", 1),), Nil()))
-    text = print_surface(proc)
-    again = parse_process(text)
-    assert alpha_equal(proc, again)
+    rng = random.Random(41)
+    counts = {"Input": 0, "Restrict": 0, "nested": 0}
+    for _ in range(400):
+        proc = random_surface(rng, 7, free_pool=_CLASH_FREE, binder_pool=_CLASH_BINDERS)
+        text = print_surface(proc)
+        again = parse_process(text)
+        assert alpha_equal(proc, again), f"{text!r} reparsed differently"
+        _count_renamed_binders(proc, again, {}, counts)
+    assert min(counts.values()) >= 20, counts
+    # a scope ends with its term: binders in sibling branches may render alike
+    siblings = Par(*(Input(Name("a"), ((n, DYN),), Output(n, (), Nil())) for n in _CLASH_BINDERS[1:3]))
+    assert print_surface(siblings) == "a?(x'1:dyn).x'1!<>.0 | a?(x'1:dyn).x'1!<>.0"
+
+
+def _prefix_chain(pairs: int, quote: str) -> str:
+    """`a?(x0:dyn).x0!<m>. ...`, the benchmark's long front-end program."""
+    rng = random.Random(0)
+    steps = []
+    for _ in range(pairs):
+        x = f"{rng.choice('xyz')}{quote}{rng.randrange(4)}"
+        steps.append(f"a?({x}:dyn).{x}!<{rng.choice('mn')}>.")
+    return "chan a : dyn; chan m : o(); chan n : o();\nrun " + "".join(steps) + "0\n"
+
+
+def test_printing_takes_at_most_one_free_name_pass(monkeypatch):
+    """Printing may take one free-name pre-pass per term and never substitutes."""
+    import gradualpi.parser as parser
+    from gradualpi.syntax import substitute
+
+    calls = {"free_names": 0, "substitute": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(parser, "free_names", counted("free_names", parser.free_names))
+    monkeypatch.setattr(parser, "substitute", counted("substitute", substitute), raising=False)
+    for quote in ("", "'"):  # a quoted binder such as x'1 could render like another name
+        program = parse(_prefix_chain(80, quote))
+        compiled = insert_casts(program.env, program.proc).proc
+        for printer, term in ((print_surface, program.proc), (print_cast, compiled)):
+            calls.update(free_names=0, substitute=0)
+            assert printer(term).count("?(") == 80
+            assert calls["free_names"] <= 1 and calls["substitute"] == 0, (printer.__name__, quote, calls)
 
 
 def test_spans_cover_and_nest():
+    def contains(outer, inner) -> bool:
+        start, end = (inner.line, inner.col), (inner.end_line, inner.end_col)
+        return (outer.line, outer.col) <= start and end <= (outer.end_line, outer.end_col)
+
     for name in ("client.gpi", "agency.gpi", "sneaky_client.gpi"):
         program = load(name)
 
         def walk(p, parent):
             assert p.span is not None
             if parent is not None:
-                assert parent.contains(p.span), f"{name}: child span escapes parent"
+                assert contains(parent, p.span), f"{name}: child span escapes parent"
             for attr in ("body", "left", "right"):
                 child = getattr(p, attr, None)
                 if child is not None:

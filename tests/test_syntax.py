@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gen import random_surface, random_type
-from oracles import oracle_alpha_equal
+from oracles import all_names, oracle_alpha_equal
 from gradualpi.syntax import (
     Capability,
     CastChannel,
@@ -31,11 +31,9 @@ from gradualpi.syntax import (
     UnboundNameError,
     alpha_equal,
     canonical,
-    ch,
     free_names,
     fresh_name,
     substitute,
-    substitute_surface,
 )
 
 T = ChanType(Capability.OUT, ())  # money type used throughout the corpus
@@ -137,32 +135,10 @@ def test_env_extension_shadows():
 
 
 # --------------------------------------------------------------------------
-# ch and cast stacks
+# cast stacks
 # --------------------------------------------------------------------------
 
 _OT = ChanType(Capability.OUT, (T,))
-STACKED = CastChannel(x, ((_OT, DYN), (DYN, _OT)))
-
-
-def test_ch_bare():
-    assert ch(bare(a)) == a
-
-
-def test_ch_ignores_stack():
-    assert ch(STACKED) == x
-
-
-def test_ch_arbitrary_depth():
-    rng = random.Random(3)
-    for _ in range(100):
-        depth = rng.randint(0, 6)
-        frames = []
-        prev = random_type(rng)
-        for _ in range(depth):
-            nxt = random_type(rng)
-            frames.append((prev, nxt))
-            prev = nxt
-        assert ch(CastChannel(y, tuple(frames))) == y
 
 
 def test_push_elides_trivial_frames():
@@ -258,15 +234,36 @@ def test_alpha_equal_compares_types_syntactically():
     assert not alpha_equal(Restrict(x, T, Nil()), Restrict(x, DYN, Nil()))
 
 
+def _rename(p, old: Name, new: Name):
+    """Replace every occurrence of `old`, binders included."""
+
+    def r(n: Name) -> Name:
+        return new if n == old else n
+
+    match p:
+        case Restrict(n, t, body):
+            return Restrict(r(n), t, _rename(body, old, new))
+        case Input(subj, binders, body):
+            return Input(r(subj), tuple((r(n), t) for n, t in binders), _rename(body, old, new))
+        case Output(subj, args, body) | ReverseOutput(subj, args, body):
+            return type(p)(r(subj), tuple(map(r, args)), _rename(body, old, new))
+        case Par(l, rr) | Choice(l, rr):
+            return type(p)(_rename(l, old, new), _rename(rr, old, new))
+        case Replicate(body):
+            return Replicate(_rename(body, old, new))
+    return p
+
+
 def _alpha_variant(p, rng):
-    """Rename restriction binders randomly, capture-avoidingly."""
+    """Rename restriction binders randomly to names that occur nowhere in
+    their bodies, so that renaming every occurrence cannot capture."""
     match p:
         case Restrict(n, t, body):
             body = _alpha_variant(body, rng)
             fresh = Name(rng.choice("pqgh"), rng.randint(0, 3))
-            if fresh == n or fresh in free_names(body):
+            if fresh == n or fresh in all_names(body):
                 return Restrict(n, t, body)
-            return Restrict(fresh, t, substitute_surface(body, {n: fresh}))
+            return Restrict(fresh, t, _rename(body, n, fresh))
         case Input(subj, binders, body):
             return Input(subj, binders, _alpha_variant(body, rng))
         case Output(subj, args, body):
