@@ -92,13 +92,20 @@ def insert_casts(env: TypeEnv, proc: SurfaceProcess) -> CompilationOutput:
 
 
 def _compile(env: TypeEnv, p: SurfaceProcess, sites: list[CastSite]) -> CastProcess:
+    if isinstance(p, (Par, Choice)):
+        # The right spine of a chain, without recursion: operands compile
+        # left to right (the order of the site log), then fold back up.
+        spine = []
+        while isinstance(p, (Par, Choice)):
+            spine.append((CPar if isinstance(p, Par) else CChoice, _compile(env, p.left, sites)))
+            p = p.right
+        out = _compile(env, p, sites)
+        for node, left in reversed(spine):
+            out = node(left, out)
+        return out
     match p:
         case Nil():
             return CNil()
-        case Par(l, r):
-            return CPar(_compile(env, l, sites), _compile(env, r, sites))
-        case Choice(l, r):
-            return CChoice(_compile(env, l, sites), _compile(env, r, sites))
         case Restrict(x, t, body):
             return CRestrict(x, t, _compile(env.extend([(x, t)]), body, sites))
         case Replicate(body):
@@ -130,6 +137,15 @@ def erase_casts(p: CastProcess) -> SurfaceProcess:
     Reverse outputs never reappear (they were lowered), and typeError has
     no surface counterpart.
     """
+    if isinstance(p, (CPar, CChoice)):
+        spine = []  # the right spine of a chain, without recursion
+        while isinstance(p, (CPar, CChoice)):
+            spine.append((Par if isinstance(p, CPar) else Choice, erase_casts(p.left)))
+            p = p.right
+        out = erase_casts(p)
+        for node, left in reversed(spine):
+            out = node(left, out)
+        return out
     match p:
         case CNil():
             return Nil()
@@ -137,10 +153,6 @@ def erase_casts(p: CastProcess) -> SurfaceProcess:
             return Input(c.base, binders, erase_casts(body))
         case COutput(c, args, body):
             return Output(c.base, tuple(a.base for a in args), erase_casts(body))
-        case CPar(l, r):
-            return Par(erase_casts(l), erase_casts(r))
-        case CChoice(l, r):
-            return Choice(erase_casts(l), erase_casts(r))
         case CRestrict(x, t, body):
             return Restrict(x, t, erase_casts(body))
         case CReplicate(body):

@@ -338,6 +338,9 @@ def _check_declared(proc: SurfaceProcess, declared: frozenset[Name]) -> None:
                 line, col = (span.line, span.col) if span else (0, 0)
                 raise UndeclaredChannelError(n, line, col)
 
+        while isinstance(p, (Par, Choice)):  # the right spine of a chain, without recursion
+            walk(p.left, bound)
+            p = p.right
         match p:
             case Nil():
                 return
@@ -349,9 +352,6 @@ def _check_declared(proc: SurfaceProcess, declared: frozenset[Name]) -> None:
                 for x in args:
                     need(x)
                 walk(body, bound)
-            case Par(l, r) | Choice(l, r):
-                walk(l, bound)
-                walk(r, bound)
             case Restrict(x, _, body):
                 walk(body, bound | {x})
             case Replicate(body):

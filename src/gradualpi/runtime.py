@@ -143,25 +143,30 @@ def _flatten_into(
     avoid: set[Name],
     halts: list[Halt],
 ) -> None:
-    match term:
-        case CNil():
-            return
-        case CPar(l, r):
-            _flatten_into(l, restrictions, threads, avoid, halts)
-            _flatten_into(r, restrictions, threads, avoid, halts)
-        case CRestrict(x, t, body):
-            if x in avoid:
-                renamed = fresh_name(x, avoid)
-                body = substitute(body, {x: CastChannel(renamed)})
-                x = renamed
-            avoid.add(x)
-            restrictions.append((x, t))
-            _flatten_into(body, restrictions, threads, avoid, halts)
-        case CTypeError():
-            halts.append(Halt(Status.TYPE_ERROR))
-            threads.append(term)
-        case _:
-            threads.append(term)
+    # Loops down the right spine of a `|` chain and through restrictions,
+    # so only left operands recurse.
+    while True:
+        match term:
+            case CNil():
+                return
+            case CPar(l, r):
+                _flatten_into(l, restrictions, threads, avoid, halts)
+                term = r
+            case CRestrict(x, t, body):
+                if x in avoid:
+                    renamed = fresh_name(x, avoid)
+                    body = substitute(body, {x: CastChannel(renamed)})
+                    x = renamed
+                avoid.add(x)
+                restrictions.append((x, t))
+                term = body
+            case CTypeError():
+                halts.append(Halt(Status.TYPE_ERROR))
+                threads.append(term)
+                return
+            case _:
+                threads.append(term)
+                return
 
 
 def normalize(proc: CastProcess, protected: frozenset[Name] = frozenset()) -> Configuration:
@@ -181,19 +186,24 @@ def normalize(proc: CastProcess, protected: frozenset[Name] = frozenset()) -> Co
 
 def _extrudes(term: CastProcess) -> bool:
     """Whether flattening ``term`` hoists a restriction."""
-    match term:
-        case CRestrict():
+    while isinstance(term, CPar):
+        if _extrudes(term.left):
             return True
-        case CPar(l, r):
-            return _extrudes(l) or _extrudes(r)
-    return False
+        term = term.right
+    return isinstance(term, CRestrict)
 
 
 def _rebuild(
     cfg: Configuration,
     replacements: Mapping[int, Sequence[CastProcess]],
     halted: Optional[Halt] = None,
-) -> Configuration:
+) -> tuple[Configuration, tuple[int, ...]]:
+    """Replace threads by processes, flattened in place.
+
+    Also returns, for each replaced index in increasing order, how many
+    threads its processes flattened to; every other thread is kept as the
+    same object, in the same relative order.
+    """
     # Freshening consults the names in use only when a restriction is
     # hoisted, so the (linear) scan for them is skipped otherwise.
     avoid: set[Name] = set()
@@ -209,50 +219,106 @@ def _rebuild(
     restrictions = list(cfg.restrictions)
     threads: list[CastProcess] = []
     halts: list[Halt] = []
+    counts: list[int] = []
     for i, thread in enumerate(cfg.threads):
         if i in replacements:
+            start = len(threads)
             for item in replacements[i]:
                 _flatten_into(item, restrictions, threads, avoid, halts)
+            counts.append(len(threads) - start)
         else:
             threads.append(thread)
     final = halted or cfg.halted or (halts[0] if halts else None)
-    return Configuration(tuple(restrictions), tuple(threads), final, cfg.protected)
+    return Configuration(tuple(restrictions), tuple(threads), final, cfg.protected), tuple(counts)
 
 
 # --------------------------------------------------------------------------
 # Redex enumeration
 # --------------------------------------------------------------------------
 
-def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
-    """Every enabled redex, in a fixed order.
+_CHOICE_KINDS = ("choice-left", "choice-right")
+_REPLICATE_KINDS = ("replicate",)
+
+
+class RedexPlan:
+    """The enabled redexes of a configuration, counted without being built.
+
+    Each entry is a thread that offers redexes, in emission order, with its
+    options: the indices of its partner outputs for an input (one
+    communication each), or the kinds of its single-thread redexes.  The
+    redex at position ``k`` is found by walking the entries' sizes, so a
+    seeded pick builds one ``Redex`` instead of all of them.
+    """
+
+    def __init__(self, threads: Sequence[CastProcess], entries: Sequence[tuple[int, Sequence]]):
+        self._threads = threads
+        self._entries = entries
+        self._count = sum(len(options) for _, options in entries)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def redex(self, k: int) -> Redex:
+        """The redex at position ``k`` of the order."""
+        for i, options in self._entries:
+            if 0 <= k < len(options):
+                return self._build(i, options[k])
+            k -= len(options)
+        raise IndexError("redex position out of range")
+
+    def redexes(self) -> tuple[Redex, ...]:
+        return tuple(self._build(i, option) for i, options in self._entries for option in options)
+
+    def _build(self, i: int, option: Union[int, str]) -> Redex:
+        if isinstance(option, str):
+            return Redex(option, (i,))
+        inp, out = self._threads[i], self._threads[option]
+        bare = inp.subject.is_bare and out.subject.is_bare
+        return Redex("comm" if bare else "c-solve", (i, option), inp.subject.base)
+
+
+def redex_plan(cfg: Configuration) -> RedexPlan:
+    """The enabled redexes in a fixed order, one pass over the threads.
 
     Redexes are ordered by thread index (the input's, for a pair), then
     kind (communication, choice-left, choice-right, replicate), then the
     partner output's index.  Seeded runs pick by position in this order.
     """
     if cfg.halted is not None:
-        return ()
-    outputs: Optional[dict[Name, list[tuple[int, COutput]]]] = None
-    pool = _HeadPool(cfg.threads)
-    redexes: list[Redex] = []
-    for i, thread in enumerate(cfg.threads):
-        if isinstance(thread, CInput):
-            if outputs is None:
-                outputs = {}
-                for j, other in enumerate(cfg.threads):
-                    if isinstance(other, COutput):
-                        outputs.setdefault(other.subject.base, []).append((j, other))
-            base, arity = thread.subject.base, len(thread.binders)
-            for j, out in outputs.get(base, ()):
-                if len(out.args) == arity:
-                    bare = thread.subject.is_bare and out.subject.is_bare
-                    redexes.append(Redex("comm" if bare else "c-solve", (i, j), base))
+        return RedexPlan(cfg.threads, ())
+    threads = cfg.threads
+    # Outputs by channel and arity; an input's entry shares the list, which
+    # the rest of the pass may still extend.  The channel is keyed by its
+    # fields, whose hashes are cheaper than a Name's.
+    outputs: dict[tuple[str, int, int], list[int]] = {}
+    pool = _HeadPool(threads)
+    entries: list[tuple[int, Sequence]] = []
+    for i, thread in enumerate(threads):
+        if isinstance(thread, COutput):
+            name = thread.subject.base
+            key = (name.base, name.index, len(thread.args))
+            partners = outputs.get(key)
+            if partners is None:
+                outputs[key] = [i]
+            else:
+                partners.append(i)
+        elif isinstance(thread, CInput):
+            name = thread.subject.base
+            key = (name.base, name.index, len(thread.binders))
+            partners = outputs.get(key)
+            if partners is None:
+                partners = outputs[key] = []
+            entries.append((i, partners))
         elif isinstance(thread, CChoice):
-            redexes.append(Redex("choice-left", (i,)))
-            redexes.append(Redex("choice-right", (i,)))
+            entries.append((i, _CHOICE_KINDS))
         elif isinstance(thread, CReplicate) and _unfold_useful(thread, pool):
-            redexes.append(Redex("replicate", (i,)))
-    return tuple(redexes)
+            entries.append((i, _REPLICATE_KINDS))
+    return RedexPlan(threads, [entry for entry in entries if entry[1]])
+
+
+def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
+    """Every enabled redex, in the order of ``redex_plan``."""
+    return redex_plan(cfg).redexes()
 
 
 def _heads(term: CastProcess, acc: set[tuple[str, Name, int]]) -> None:
@@ -412,12 +478,12 @@ def resolve_input_casts(
 
 def _reduce(
     cfg: Configuration, redex: Redex
-) -> tuple[Configuration, str, tuple[str, ...], Mapping[int, Sequence[CastProcess]]]:
+) -> tuple[Configuration, tuple[int, ...], str, tuple[str, ...], Mapping[int, Sequence[CastProcess]]]:
     """Apply one redex without rendering any text.
 
-    Returns the new configuration, the trace rule and its detail, and the
-    processes that replaced each participant (what a trace event prints as
-    its right-hand side).
+    Returns the new configuration, the thread counts of ``_rebuild``, the
+    trace rule and its detail, and the processes that replaced each
+    participant (what a trace event prints as its right-hand side).
     """
     if cfg.halted is not None:
         raise ValueError("cannot step a halted configuration")
@@ -431,7 +497,7 @@ def _reduce(
             raise ValueError(f"stale redex: {redex}")
         mapping = {name: chan for (name, _), chan in zip(inp.binders, out.args)}
         results = {i: [substitute(inp.body, mapping)], j: [out.body]}
-        return _rebuild(cfg, results), "comm", (), results
+        return (*_rebuild(cfg, results), "comm", (), results)
 
     if redex.kind == "c-solve":
         i, j = redex.participants
@@ -445,10 +511,10 @@ def _reduce(
         if isinstance(result, CastFailure):
             halt = Halt(Status.TYPE_ERROR, result.failing, result.rule)
             results = {i: [CTypeError()], j: []}
-            return _rebuild(cfg, results, halted=halt), "c-solve", applied, results
+            return (*_rebuild(cfg, results, halted=halt), "c-solve", applied, results)
         inp2, out2 = result
         results = {i: [inp2], j: [out2]}
-        return _rebuild(cfg, results), "c-solve", applied, results
+        return (*_rebuild(cfg, results), "c-solve", applied, results)
 
     if redex.kind in ("choice-left", "choice-right"):
         (i,) = redex.participants
@@ -457,7 +523,7 @@ def _reduce(
             raise ValueError(f"stale redex: {redex}")
         side = "left" if redex.kind == "choice-left" else "right"
         results = {i: [thread.left if side == "left" else thread.right]}
-        return _rebuild(cfg, results), "choice", (side,), results
+        return (*_rebuild(cfg, results), "choice", (side,), results)
 
     if redex.kind == "replicate":
         (i,) = redex.participants
@@ -465,7 +531,7 @@ def _reduce(
         if not isinstance(thread, CReplicate):
             raise ValueError(f"stale redex: {redex}")
         results = {i: [thread.body, thread]}
-        return _rebuild(cfg, results), "replicate", (), results
+        return (*_rebuild(cfg, results), "replicate", (), results)
 
     raise ValueError(f"unknown redex kind: {redex.kind}")
 
@@ -476,7 +542,7 @@ def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuratio
     The event shows the participants before the step and what replaced
     them after it, each side in thread order and joined by `` | ``.
     """
-    cfg2, rule, detail, results = _reduce(cfg, redex)
+    cfg2, _, rule, detail, results = _reduce(cfg, redex)
     order = sorted(redex.participants)
     before = " | ".join(print_cast(cfg.threads[k]) for k in order)
     after = " | ".join(print_cast(p) for k in order for p in results[k])
@@ -492,7 +558,7 @@ def _multiset(items: Iterable[Hashable]) -> frozenset[tuple[Hashable, int]]:
     return frozenset(Counter(items).items())
 
 
-def configuration_key(cfg: Configuration) -> Hashable:
+def configuration_key(cfg: Configuration, ids: Optional[Sequence[int]] = None) -> Hashable:
     """A hashable key equal only for alpha-equivalent configurations.
 
     Restricted names are renamed canonically (ordered by first use over a
@@ -500,7 +566,15 @@ def configuration_key(cfg: Configuration) -> Hashable:
     the canonical threads form a multiset.  Ties in the ordering can split
     alpha-equivalent states into distinct keys, which merely weakens
     deduplication, never corrupts it.
+
+    ``ids``, if given, are the threads' canonical forms interned to small
+    ints, in thread order, all from one table (see ``_intern``).  A
+    configuration without restrictions is then keyed by the sorted ids,
+    which induces the same partition without touching any term.
     """
+    halted = cfg.halted.status if cfg.halted else None
+    if ids is not None and not cfg.restrictions:
+        return tuple(sorted(ids)), halted
     rename: dict[Name, CastChannel] = {}
     if cfg.restrictions:
         # The thread ordering compares printed forms, so that this key
@@ -513,7 +587,6 @@ def configuration_key(cfg: Configuration) -> Hashable:
                 if name in mask and name not in rename:
                     rename[name] = CastChannel(Name("#r", len(rename)))
     threads = _multiset(canonical(substitute(t, rename) if rename else t) for t in cfg.threads)
-    halted = cfg.halted.status if cfg.halted else None
     if not cfg.restrictions:
         return threads, halted
     used = frozenset((rename[name].base.index, t) for name, t in cfg.restrictions if name in rename)
@@ -552,30 +625,71 @@ def run(cfg: Configuration, scheduler: Scheduler) -> RunReport:
     """Drive a configuration to a terminal status under the given policy."""
     if isinstance(scheduler, Seeded):
         rng = random.Random(scheduler.seed)
-        pick = lambda _cfg, rxs: rng.randrange(len(rxs))
-        return RunReport((_run_sequential(cfg, pick, scheduler.max_steps),))
+        pick = lambda _cfg, plan: plan.redex(rng.randrange(len(plan)))
+        return RunReport((_run_sequential(cfg, redex_plan, pick, scheduler.max_steps),))
     if isinstance(scheduler, Interactive):
-        return RunReport((_run_sequential(cfg, scheduler.choose, scheduler.max_steps),))
+
+        def pick(cfg: Configuration, redexes: tuple[Redex, ...]) -> Optional[Redex]:
+            choice = scheduler.choose(cfg, redexes)
+            return None if choice is None else redexes[choice]
+
+        return RunReport((_run_sequential(cfg, enumerate_redexes, pick, scheduler.max_steps),))
     if isinstance(scheduler, Exhaustive):
         return _run_exhaustive(cfg, scheduler.depth)
     raise TypeError(f"unknown scheduler: {scheduler!r}")
 
 
-def _run_sequential(cfg: Configuration, pick, max_steps: int) -> Outcome:
+def _run_sequential(cfg: Configuration, offer, pick, max_steps: int) -> Outcome:
+    """One path: ``offer`` sizes the enabled redexes, ``pick`` takes one of them."""
     events: list[TraceEvent] = []
     while True:
         if cfg.halted is not None:
             return Outcome(cfg.halted.status, cfg.halted, tuple(events))
-        redexes = enumerate_redexes(cfg)
-        if not redexes:
+        offered = offer(cfg)
+        if not offered:
             return Outcome(Status.NORMAL_STUCK, Halt(Status.NORMAL_STUCK), tuple(events))
         if len(events) >= max_steps:
             return Outcome(Status.MAX_STEPS, Halt(Status.MAX_STEPS), tuple(events))
-        choice = pick(cfg, redexes)
-        if choice is None:
+        redex = pick(cfg, offered)
+        if redex is None:
             raise InteractiveAbort()
-        cfg, event = step(cfg, redexes[choice], len(events))
+        cfg, event = step(cfg, redex, len(events))
         events.append(event)
+
+
+def _intern(table: dict[CastProcess, int], thread: CastProcess) -> int:
+    """The id of ``thread``'s canonical form, numbered in order of arrival."""
+    return table.setdefault(canonical(thread), len(table))
+
+
+def _successor_ids(
+    cfg: Configuration,
+    ids: Optional[tuple[int, ...]],
+    redex: Redex,
+    succ: Configuration,
+    counts: tuple[int, ...],
+    table: dict[CastProcess, int],
+) -> Optional[tuple[int, ...]]:
+    """The thread ids of ``succ``, reached from ``cfg`` by ``redex``.
+
+    A kept thread keeps its id; only the threads the participants were
+    replaced by are interned (a replicated thread that lays down a copy of
+    itself is the same object and keeps its id too).  Restricted
+    configurations are keyed without ids, so they get none.
+    """
+    if ids is None or succ.restrictions:
+        return None
+    out: list[int] = []
+    prev = pos = 0
+    for k, count in zip(sorted(redex.participants), counts):
+        out += ids[prev:k]
+        pos += k - prev
+        old = cfg.threads[k]
+        out += [ids[k] if thread is old else _intern(table, thread) for thread in succ.threads[pos : pos + count]]
+        pos += count
+        prev = k + 1
+    out += ids[prev:]
+    return tuple(out)
 
 
 def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
@@ -583,18 +697,18 @@ def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
 
     Queue entries carry a parent pointer ``(parent, redex)`` instead of a
     trace; only the witnesses' traces are rendered, by replaying their
-    redexes from ``cfg0``.
+    redexes from ``cfg0``.  Each entry also carries its threads' ids in a
+    per-run intern table, so a successor's key canonicalises only the
+    threads its step created.  A state is dropped when its key was seen
+    before: under FIFO order the first push of a key is at its least depth.
     """
     witnesses: dict[Status, tuple[Halt, Optional[tuple]]] = {}
-    seen: dict[Hashable, int] = {}
-    queue = deque([(cfg0, 0, None)])
+    table: dict[CastProcess, int] = {}
+    ids0 = None if cfg0.restrictions else tuple(_intern(table, t) for t in cfg0.threads)
+    seen = {configuration_key(cfg0, ids0)}
+    queue = deque([(cfg0, ids0, 0, None)])
     while queue:
-        cfg, d, path = queue.popleft()
-        key = configuration_key(cfg)
-        prev = seen.get(key)
-        if prev is not None and prev <= d:
-            continue
-        seen[key] = d
+        cfg, ids, d, path = queue.popleft()
         if cfg.halted is not None:
             witnesses.setdefault(cfg.halted.status, (cfg.halted, path))
             continue
@@ -606,7 +720,12 @@ def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
             witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), path))
             continue
         for redex in redexes:
-            queue.append((_reduce(cfg, redex)[0], d + 1, (path, redex)))
+            succ, counts = _reduce(cfg, redex)[:2]
+            succ_ids = _successor_ids(cfg, ids, redex, succ, counts, table)
+            key = configuration_key(succ, succ_ids)
+            if key not in seen:
+                seen.add(key)
+                queue.append((succ, succ_ids, d + 1, (path, redex)))
     outcomes = []
     for status in _STATUS_ORDER:
         if status in witnesses:

@@ -273,6 +273,12 @@ Process = Union[SurfaceProcess, CastProcess]
 
 def free_names(p: Process) -> frozenset[Name]:
     """Names with at least one occurrence not bound by an input or restriction."""
+    if isinstance(p, (Par, Choice, CPar, CChoice)):
+        names: set[Name] = set()
+        while isinstance(p, (Par, Choice, CPar, CChoice)):  # the right spine, without recursion
+            names |= free_names(p.left)
+            p = p.right
+        return frozenset(names | free_names(p))
     match p:
         case Nil() | CNil() | CTypeError():
             return frozenset()
@@ -286,8 +292,6 @@ def free_names(p: Process) -> frozenset[Name]:
             return frozenset((a, *args)) | free_names(body)
         case COutput(c, args, body):
             return frozenset((c.base, *(a.base for a in args))) | free_names(body)
-        case Par(l, r) | Choice(l, r) | CPar(l, r) | CChoice(l, r):
-            return free_names(l) | free_names(r)
         case Restrict(x, _, body) | CRestrict(x, _, body):
             return free_names(body) - frozenset((x,))
         case Replicate(body) | CReplicate(body):

@@ -124,12 +124,12 @@ def _lookup(env: TypeEnv, name: Name, span: Optional[Span], diags: list[TypeDiag
 
 
 def _check(env, p, relate, diags, log) -> None:
+    while isinstance(p, (Par, Choice)):  # the right spine of a chain, without recursion
+        _check(env, p.left, relate, diags, log)
+        p = p.right
     match p:
         case Nil():
             return
-        case Par(l, r) | Choice(l, r):
-            _check(env, l, relate, diags, log)
-            _check(env, r, relate, diags, log)
         case Restrict(x, t, body):
             _check(env.extend([(x, t)]), body, relate, diags, log)
         case Replicate(body):

@@ -162,6 +162,18 @@ def test_run_exhaustive_golden(capsys):
     assert out == golden("exhaustive_paper.txt")
 
 
+def test_run_seeded_dyn_server_golden(capsys):
+    code, out, _ = run_cli(capsys, "run", corpus("dyn_server.gpi"), "--mode", "seeded", "--seed", "3", "--trace")
+    assert code == 0
+    assert out == golden("run_dyn_server_seed3.txt")
+
+
+def test_run_exhaustive_dyn_race_golden(capsys):
+    code, out, _ = run_cli(capsys, "run", corpus("dyn_race.gpi"), "--mode", "exhaustive", "--depth", "40")
+    assert code == 0
+    assert out == golden("exhaustive_dyn_race.txt")
+
+
 def test_run_seeded_byte_identical(capsys):
     args = ("run", corpus("client.gpi"), corpus("agency.gpi"), "--seed", "3", "--trace")
     code1, out1, _ = run_cli(capsys, *args)
@@ -244,12 +256,16 @@ def test_deep_prefix_chain_is_internal_error_exit_seventy(capsys, tmp_path):
 
 
 def test_wide_composition_compiles(capsys, tmp_path):
+    # Wider than the recursion limit: every walk loops down a chain's right spine.
     for op in ("|", "+"):
         wide = tmp_path / "wide.gpi"
-        wide.write_text("chan a : o();\nrun " + f" {op} ".join(["a!<>"] * 600) + "\n", encoding="utf-8")
+        wide.write_text("chan a : o();\nrun " + f" {op} ".join(["a!<>"] * 2000) + "\n", encoding="utf-8")
+        assert run_cli(capsys, "check", str(wide)) == (0, "ok\n", "")
         code, out, err = run_cli(capsys, "compile", str(wide))
         assert (code, err) == (0, "")
-        assert out == f" {op} ".join(["a!<>.0"] * 600) + "\n"
+        assert out == f" {op} ".join(["a!<>.0"] * 2000) + "\n"
+    wide.write_text("chan a : o();\nrun " + " | ".join(["a!<>"] * 2000) + "\n", encoding="utf-8")
+    assert run_cli(capsys, "run", str(wide), "--mode", "seeded") == (0, "HALT: normal-stuck\n", "")
 
 
 def test_malformed_cast_is_internal_error_exit_seventy(capsys, monkeypatch):

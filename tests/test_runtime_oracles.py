@@ -1,10 +1,12 @@
 """The runtime's state key, witness traces and redex order against oracles.
 
 The structural `configuration_key` must induce exactly the partition of
-states that the printed key induces, the explorer's replayed witnesses
-must print exactly what an explorer rendering every step eagerly prints,
-and the single-pass `enumerate_redexes` must return exactly the tuple of
-the all-pairs-then-sort reference.
+states that the printed key induces, and so must the keys the explorer
+builds from interned thread ids.  The explorer's replayed witnesses must
+print exactly what an explorer rendering every step eagerly prints.  The
+single-pass `enumerate_redexes` must return exactly the tuple of the
+all-pairs-then-sort reference, and `redex_plan` must count that tuple and
+build each of its positions alone.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from collections import deque
 
 from conftest import RUNNABLE_CORPUS, compile_corpus
 from gen import random_party_set
+import gradualpi.runtime as runtime
 from gradualpi.castinsert import insert_casts
 from gradualpi.runtime import (
     Exhaustive,
@@ -25,6 +28,7 @@ from gradualpi.runtime import (
     enumerate_redexes,
     format_trace,
     normalize,
+    redex_plan,
     run,
     step,
 )
@@ -89,6 +93,49 @@ def test_structural_key_partitions_states_like_the_printed_key():
         restricted += bool(cfg.restrictions)
         states += assert_same_partition(cfg, depth=10)
     assert restricted >= DRAWS // 3 and states > 500
+
+
+@functools.cache
+def explored_states() -> list:
+    """`(search, state, thread ids)` for every state the explorer keys in a
+    depth-10 search of each corpus composition and random party set."""
+    keyed = []
+    key = runtime.configuration_key
+
+    def record(cfg, ids=None):
+        keyed.append((search, cfg, ids))
+        return key(cfg, ids)
+
+    runtime.configuration_key = record
+    try:
+        for search, cfg in enumerate(corpus_configs() + party_configs(229)):
+            run(cfg, Exhaustive(10))
+    finally:
+        runtime.configuration_key = key
+    return keyed
+
+
+def test_explorer_id_keys_partition_states_like_the_keys():
+    # Ids come from one intern table per search, so keys compare within a search.
+    by_ids: dict = {}
+    back: dict = {}
+    with_ids = restricted = 0
+    for search, cfg, ids in explored_states():
+        fast = (search, configuration_key(cfg, ids))
+        slow = (search, configuration_key(cfg), printed_configuration_key(cfg))
+        assert by_ids.setdefault(fast, slow) == slow
+        assert back.setdefault(slow[:2], fast) == fast
+        assert back.setdefault((search, slow[2]), fast) == fast
+        with_ids += ids is not None
+        restricted += bool(cfg.restrictions)
+    assert len(by_ids) > 1000 and with_ids > 1000 and restricted > 500
+
+
+def test_redex_plan_counts_and_builds_the_reference_order():
+    for _, cfg, _ in explored_states():
+        plan, expected = redex_plan(cfg), naive_enumerate_redexes(cfg)
+        assert len(plan) == len(expected)
+        assert tuple(plan.redex(k) for k in range(len(plan))) == expected
 
 
 def eager_explore(cfg0, depth: int) -> list[Outcome]:
