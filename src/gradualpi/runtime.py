@@ -171,17 +171,7 @@ def _flatten_into(
 
 def normalize(proc: CastProcess, protected: frozenset[Name] = frozenset()) -> Configuration:
     """Flatten a process into a configuration, extruding restrictions."""
-    avoid = set(protected) | set(free_names(proc))
-    restrictions: list[tuple[Name, Type]] = []
-    threads: list[CastProcess] = []
-    halts: list[Halt] = []
-    _flatten_into(proc, restrictions, threads, avoid, halts)
-    return Configuration(
-        tuple(restrictions),
-        tuple(threads),
-        halts[0] if halts else None,
-        frozenset(protected),
-    )
+    return _rebuild(Configuration((), (proc,), None, frozenset(protected)), {0: (proc,)})
 
 
 def _extrudes(term: CastProcess) -> bool:
@@ -197,12 +187,11 @@ def _rebuild(
     cfg: Configuration,
     replacements: Mapping[int, Sequence[CastProcess]],
     halted: Optional[Halt] = None,
-) -> tuple[Configuration, tuple[int, ...]]:
+) -> Configuration:
     """Replace threads by processes, flattened in place.
 
-    Also returns, for each replaced index in increasing order, how many
-    threads its processes flattened to; every other thread is kept as the
-    same object, in the same relative order.
+    Every other thread is kept as the same object, in the same relative
+    order (the explorer's thread ids rely on it).
     """
     # Freshening consults the names in use only when a restriction is
     # hoisted, so the (linear) scan for them is skipped otherwise.
@@ -219,17 +208,14 @@ def _rebuild(
     restrictions = list(cfg.restrictions)
     threads: list[CastProcess] = []
     halts: list[Halt] = []
-    counts: list[int] = []
     for i, thread in enumerate(cfg.threads):
         if i in replacements:
-            start = len(threads)
             for item in replacements[i]:
                 _flatten_into(item, restrictions, threads, avoid, halts)
-            counts.append(len(threads) - start)
         else:
             threads.append(thread)
     final = halted or cfg.halted or (halts[0] if halts else None)
-    return Configuration(tuple(restrictions), tuple(threads), final, cfg.protected), tuple(counts)
+    return Configuration(tuple(restrictions), tuple(threads), final, cfg.protected)
 
 
 # --------------------------------------------------------------------------
@@ -323,18 +309,23 @@ def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
 
 def _heads(term: CastProcess, acc: set[tuple[str, Name, int]]) -> None:
     """Input/output prefixes reachable without consuming any prefix."""
-    match term:
-        case CNil() | CTypeError():
-            return
-        case CInput(c, binders, _):
-            acc.add(("in", c.base, len(binders)))
-        case COutput(c, args, _):
-            acc.add(("out", c.base, len(args)))
-        case CPar(l, r) | CChoice(l, r):
-            _heads(l, acc)
-            _heads(r, acc)
-        case CRestrict(_, _, body) | CReplicate(body):
-            _heads(body, acc)
+    # Loops down the right spine of a `|`/`+` chain and into bodies, so only
+    # left operands recurse.
+    while True:
+        match term:
+            case CInput(c, binders, _):
+                acc.add(("in", c.base, len(binders)))
+                return
+            case COutput(c, args, _):
+                acc.add(("out", c.base, len(args)))
+                return
+            case CPar(l, r) | CChoice(l, r):
+                _heads(l, acc)
+                term = r
+            case CRestrict(_, _, body) | CReplicate(body):
+                term = body
+            case _:
+                return
 
 
 class _HeadPool:
@@ -379,96 +370,76 @@ class CastFailure:
     rule: str  # "c-out-fail" | "c-in-fail"
 
 
-def resolve_output_casts(
-    out: COutput,
-) -> tuple[Union[COutput, CastFailure], tuple[str, ...]]:
-    """Strip the output subject's casts, distributing them to the arguments.
+def _strip_casts(
+    subject: CastChannel, cap: Capability, args: Sequence[CastChannel], binders: Optional[Sequence] = None
+):
+    """Pop ``subject``'s cast frames by the rules of the ``cap`` side.
 
-    Each popped o-to-o frame wraps every argument contravariantly (from the
-    frame's target argument type back to its source argument type); a dyn
-    source is first expanded to an output capability of dyns with the
-    target's arity; an i-to-o frame is a run-time type error.  Returns the
-    bare-subject output (or the failure) plus the rules applied, in order.
+    A dyn source is first expanded to ``cap`` with the target's arity; a
+    source of the other capability is a run-time type error; otherwise the
+    frame is popped and ``args`` are wrapped contravariantly (from the
+    frame's target argument type back to its source argument type).  An
+    input's ``binders`` must be annotated with each frame's target and are
+    re-annotated with its source.  Returns the bare subject, arguments and
+    binders (or the failure), plus the rules applied, in order.
     """
-    subject = out.subject
-    args = list(out.args)
+    side = "out" if cap is Capability.OUT else "in"
     applied: list[str] = []
     while subject.casts:
         source, target = subject.casts[-1]
-        if not (isinstance(target, ChanType) and target.cap is Capability.OUT):
+        if not (isinstance(target, ChanType) and target.cap is cap):
             raise MalformedCastError(
-                f"output subject cast does not end in an output capability: {format_channel(subject)}"
+                f"{side}put subject cast does not end in an {side}put capability: {format_channel(subject)}"
             )
+        if binders is not None and list(target.args) != [t for _, t in binders]:
+            raise MalformedCastError(f"cast frame does not match the binder annotations: {format_channel(subject)}")
         if isinstance(source, Dyn):
-            expanded = ChanType(Capability.OUT, (DYN,) * len(target.args))
+            expanded = ChanType(cap, (DYN,) * len(target.args))
             frames = list(subject.casts)
             frames[-1] = (expanded, target)
             if len(frames) >= 2 and frames[-2][1] == source:
                 frames[-2] = (frames[-2][0], expanded)
             subject = CastChannel(subject.base, tuple(frames))
-            applied.append("c-out-expand")
+            applied.append(f"c-{side}-expand")
             continue
-        if source.cap is Capability.IN:
-            applied.append("c-out-fail")
-            return CastFailure(subject, "c-out-fail"), tuple(applied)
+        if source.cap is not cap:
+            applied.append(f"c-{side}-fail")
+            return CastFailure(subject, f"c-{side}-fail"), tuple(applied)
         if len(source.args) != len(target.args) or len(target.args) != len(args):
-            raise MalformedCastError(
-                f"cast frame arity does not match the output arguments: {format_channel(subject)}"
-            )
+            what = "the output arguments" if binders is None else "the communication"
+            raise MalformedCastError(f"cast frame arity does not match {what}: {format_channel(subject)}")
         args = [a.push(s, t) for a, s, t in zip(args, target.args, source.args)]
+        if binders is not None:
+            binders = [(n, t) for (n, _), t in zip(binders, source.args)]
         subject = CastChannel(subject.base, subject.casts[:-1])
-        applied.append("c-out-succeed")
-    return COutput(subject, tuple(args), out.body), tuple(applied)
+        applied.append(f"c-{side}-succeed")
+    return (subject, args, binders), tuple(applied)
+
+
+def resolve_output_casts(
+    out: COutput,
+) -> tuple[Union[COutput, CastFailure], tuple[str, ...]]:
+    """Strip the output subject's casts, distributing them to the arguments
+    (rules ``c-out-*``); returns the bare-subject output or the failure."""
+    result, applied = _strip_casts(out.subject, Capability.OUT, out.args)
+    if isinstance(result, CastFailure):
+        return result, applied
+    subject, args, _ = result
+    return COutput(subject, tuple(args), out.body), applied
 
 
 def resolve_input_casts(
     inp: CInput, out: COutput
 ) -> tuple[Union[tuple[CInput, COutput], CastFailure], tuple[str, ...]]:
-    """Strip the input subject's casts against a bare-subject output partner.
-
-    Each popped i-to-i frame rewrites the binder annotations from the
-    frame's target arguments to its source arguments and wraps the output's
-    arguments in the matching contravariant frames; dyn sources expand; an
-    o-to-i frame is a run-time type error.
-    """
+    """Strip the input subject's casts against a bare-subject output partner
+    (rules ``c-in-*``); returns the resolved pair or the failure."""
     if not out.subject.is_bare:
         raise MalformedCastError("input casts are resolved against a bare-subject output")
-    subject = inp.subject
-    binders = list(inp.binders)
-    args = list(out.args)
-    applied: list[str] = []
-    while subject.casts:
-        source, target = subject.casts[-1]
-        if not (isinstance(target, ChanType) and target.cap is Capability.IN):
-            raise MalformedCastError(
-                f"input subject cast does not end in an input capability: {format_channel(subject)}"
-            )
-        if list(target.args) != [t for _, t in binders]:
-            raise MalformedCastError(
-                f"cast frame does not match the binder annotations: {format_channel(subject)}"
-            )
-        if isinstance(source, Dyn):
-            expanded = ChanType(Capability.IN, (DYN,) * len(target.args))
-            frames = list(subject.casts)
-            frames[-1] = (expanded, target)
-            if len(frames) >= 2 and frames[-2][1] == source:
-                frames[-2] = (frames[-2][0], expanded)
-            subject = CastChannel(subject.base, tuple(frames))
-            applied.append("c-in-expand")
-            continue
-        if source.cap is Capability.OUT:
-            applied.append("c-in-fail")
-            return CastFailure(subject, "c-in-fail"), tuple(applied)
-        if len(source.args) != len(target.args) or len(target.args) != len(args):
-            raise MalformedCastError(
-                f"cast frame arity does not match the communication: {format_channel(subject)}"
-            )
-        args = [c.push(s, t) for c, s, t in zip(args, target.args, source.args)]
-        binders = [(n, t) for (n, _), t in zip(binders, source.args)]
-        subject = CastChannel(subject.base, subject.casts[:-1])
-        applied.append("c-in-succeed")
-    resolved = (CInput(subject, tuple(binders), inp.body), COutput(out.subject, tuple(args), out.body))
-    return resolved, tuple(applied)
+    result, applied = _strip_casts(inp.subject, Capability.IN, out.args, inp.binders)
+    if isinstance(result, CastFailure):
+        return result, applied
+    subject, args, binders = result
+    return (CInput(subject, tuple(binders), inp.body), COutput(out.subject, tuple(args), out.body)), applied
 
 
 # --------------------------------------------------------------------------
@@ -478,32 +449,27 @@ def resolve_input_casts(
 
 def _reduce(
     cfg: Configuration, redex: Redex
-) -> tuple[Configuration, tuple[int, ...], str, tuple[str, ...], Mapping[int, Sequence[CastProcess]]]:
+) -> tuple[Configuration, str, tuple[str, ...], Mapping[int, Sequence[CastProcess]]]:
     """Apply one redex without rendering any text.
 
-    Returns the new configuration, the thread counts of ``_rebuild``, the
-    trace rule and its detail, and the processes that replaced each
-    participant (what a trace event prints as its right-hand side).
+    Returns the new configuration, the trace rule and its detail, and the
+    processes that replaced each participant (what a trace event prints as
+    its right-hand side).
     """
     if cfg.halted is not None:
         raise ValueError("cannot step a halted configuration")
     if any(k >= len(cfg.threads) for k in redex.participants):
         raise ValueError(f"stale redex: {redex}")
 
-    if redex.kind == "comm":
+    if redex.kind in ("comm", "c-solve"):
         i, j = redex.participants
         inp, out = cfg.threads[i], cfg.threads[j]
         if not (isinstance(inp, CInput) and isinstance(out, COutput)):
             raise ValueError(f"stale redex: {redex}")
-        mapping = {name: chan for (name, _), chan in zip(inp.binders, out.args)}
-        results = {i: [substitute(inp.body, mapping)], j: [out.body]}
-        return (*_rebuild(cfg, results), "comm", (), results)
-
-    if redex.kind == "c-solve":
-        i, j = redex.participants
-        inp, out = cfg.threads[i], cfg.threads[j]
-        if not (isinstance(inp, CInput) and isinstance(out, COutput)):
-            raise ValueError(f"stale redex: {redex}")
+        if redex.kind == "comm":
+            mapping = {name: chan for (name, _), chan in zip(inp.binders, out.args)}
+            results = {i: [substitute(inp.body, mapping)], j: [out.body]}
+            return _rebuild(cfg, results), "comm", (), results
         result, applied = resolve_output_casts(out)
         if not isinstance(result, CastFailure):
             result, in_applied = resolve_input_casts(inp, result)
@@ -511,10 +477,10 @@ def _reduce(
         if isinstance(result, CastFailure):
             halt = Halt(Status.TYPE_ERROR, result.failing, result.rule)
             results = {i: [CTypeError()], j: []}
-            return (*_rebuild(cfg, results, halted=halt), "c-solve", applied, results)
+            return _rebuild(cfg, results, halted=halt), "c-solve", applied, results
         inp2, out2 = result
         results = {i: [inp2], j: [out2]}
-        return (*_rebuild(cfg, results), "c-solve", applied, results)
+        return _rebuild(cfg, results), "c-solve", applied, results
 
     if redex.kind in ("choice-left", "choice-right"):
         (i,) = redex.participants
@@ -523,7 +489,7 @@ def _reduce(
             raise ValueError(f"stale redex: {redex}")
         side = "left" if redex.kind == "choice-left" else "right"
         results = {i: [thread.left if side == "left" else thread.right]}
-        return (*_rebuild(cfg, results), "choice", (side,), results)
+        return _rebuild(cfg, results), "choice", (side,), results
 
     if redex.kind == "replicate":
         (i,) = redex.participants
@@ -531,7 +497,7 @@ def _reduce(
         if not isinstance(thread, CReplicate):
             raise ValueError(f"stale redex: {redex}")
         results = {i: [thread.body, thread]}
-        return (*_rebuild(cfg, results), "replicate", (), results)
+        return _rebuild(cfg, results), "replicate", (), results
 
     raise ValueError(f"unknown redex kind: {redex.kind}")
 
@@ -542,7 +508,7 @@ def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuratio
     The event shows the participants before the step and what replaced
     them after it, each side in thread order and joined by `` | ``.
     """
-    cfg2, _, rule, detail, results = _reduce(cfg, redex)
+    cfg2, rule, detail, results = _reduce(cfg, redex)
     order = sorted(redex.participants)
     before = " | ".join(print_cast(cfg.threads[k]) for k in order)
     after = " | ".join(print_cast(p) for k in order for p in results[k])
@@ -568,7 +534,7 @@ def configuration_key(cfg: Configuration, ids: Optional[Sequence[int]] = None) -
     deduplication, never corrupts it.
 
     ``ids``, if given, are the threads' canonical forms interned to small
-    ints, in thread order, all from one table (see ``_intern``).  A
+    ints, in thread order, all from one table (see ``_thread_ids``).  A
     configuration without restrictions is then keyed by the sorted ids,
     which induces the same partition without touching any term.
     """
@@ -657,39 +623,17 @@ def _run_sequential(cfg: Configuration, offer, pick, max_steps: int) -> Outcome:
         events.append(event)
 
 
-def _intern(table: dict[CastProcess, int], thread: CastProcess) -> int:
-    """The id of ``thread``'s canonical form, numbered in order of arrival."""
-    return table.setdefault(canonical(thread), len(table))
-
-
-def _successor_ids(
-    cfg: Configuration,
-    ids: Optional[tuple[int, ...]],
-    redex: Redex,
-    succ: Configuration,
-    counts: tuple[int, ...],
-    table: dict[CastProcess, int],
+def _thread_ids(
+    cfg: Configuration, known: Mapping[int, int], table: dict[CastProcess, int]
 ) -> Optional[tuple[int, ...]]:
-    """The thread ids of ``succ``, reached from ``cfg`` by ``redex``.
-
-    A kept thread keeps its id; only the threads the participants were
-    replaced by are interned (a replicated thread that lays down a copy of
-    itself is the same object and keeps its id too).  Restricted
-    configurations are keyed without ids, so they get none.
-    """
-    if ids is None or succ.restrictions:
+    """Ids of the threads' canonical forms, numbered in ``table`` by arrival
+    (none when restricted); ``known`` maps ``id()`` of live threads to ids."""
+    if cfg.restrictions:
         return None
-    out: list[int] = []
-    prev = pos = 0
-    for k, count in zip(sorted(redex.participants), counts):
-        out += ids[prev:k]
-        pos += k - prev
-        old = cfg.threads[k]
-        out += [ids[k] if thread is old else _intern(table, thread) for thread in succ.threads[pos : pos + count]]
-        pos += count
-        prev = k + 1
-    out += ids[prev:]
-    return tuple(out)
+    return tuple(
+        known[id(thread)] if id(thread) in known else table.setdefault(canonical(thread), len(table))
+        for thread in cfg.threads
+    )
 
 
 def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
@@ -698,13 +642,16 @@ def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
     Queue entries carry a parent pointer ``(parent, redex)`` instead of a
     trace; only the witnesses' traces are rendered, by replaying their
     redexes from ``cfg0``.  Each entry also carries its threads' ids in a
-    per-run intern table, so a successor's key canonicalises only the
-    threads its step created.  A state is dropped when its key was seen
-    before: under FIFO order the first push of a key is at its least depth.
+    per-run intern table.  A successor's thread that is one of its parent's
+    threads (every thread the step kept) takes the parent's id, looked up by
+    object identity while the parent is alive, so a successor's key
+    canonicalises only the threads its step created.  A state is dropped
+    when its key was seen before: under FIFO order the first push of a key
+    is at its least depth.
     """
     witnesses: dict[Status, tuple[Halt, Optional[tuple]]] = {}
     table: dict[CastProcess, int] = {}
-    ids0 = None if cfg0.restrictions else tuple(_intern(table, t) for t in cfg0.threads)
+    ids0 = _thread_ids(cfg0, {}, table)
     seen = {configuration_key(cfg0, ids0)}
     queue = deque([(cfg0, ids0, 0, None)])
     while queue:
@@ -719,9 +666,10 @@ def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
         if d >= depth:
             witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), path))
             continue
+        known = dict(zip(map(id, cfg.threads), ids or ()))
         for redex in redexes:
-            succ, counts = _reduce(cfg, redex)[:2]
-            succ_ids = _successor_ids(cfg, ids, redex, succ, counts, table)
+            succ = _reduce(cfg, redex)[0]
+            succ_ids = _thread_ids(succ, known, table)
             key = configuration_key(succ, succ_ids)
             if key not in seen:
                 seen.add(key)

@@ -207,7 +207,7 @@ class CastChannel:
 
 @dataclass(frozen=True)
 class CNil:
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    """The inert process."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,6 @@ class CInput:
     subject: CastChannel
     binders: tuple[tuple[Name, Type], ...]
     body: "CastProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -223,21 +222,18 @@ class COutput:
     subject: CastChannel
     args: tuple[CastChannel, ...]
     body: "CastProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CPar:
     left: "CastProcess"
     right: "CastProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CChoice:
     left: "CastProcess"
     right: "CastProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -245,20 +241,16 @@ class CRestrict:
     name: Name
     type: Type
     body: "CastProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CReplicate:
     body: "CastProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CTypeError:
     """The terminal process left behind by a failed run-time cast."""
-
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 CastProcess = Union[CNil, CInput, COutput, CPar, CChoice, CRestrict, CReplicate, CTypeError]
@@ -469,37 +461,28 @@ def _canon(p: Process, env: dict[Name, Name], counter: list[int]) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
-def free_occurrence_order(p: Process) -> Iterator[Name]:
+def free_occurrence_order(p: CastProcess) -> Iterator[Name]:
     """Free name occurrences in traversal order (with repeats)."""
 
-    def walk(term: Process, bound: frozenset[Name]) -> Iterator[Name]:
+    def walk(term: CastProcess, bound: frozenset[Name]) -> Iterator[Name]:
         match term:
-            case Nil() | CNil() | CTypeError():
+            case CNil() | CTypeError():
                 return
-            case Input(a, binders, body):
-                if a not in bound:
-                    yield a
-                yield from walk(body, bound | {n for n, _ in binders})
             case CInput(c, binders, body):
                 if c.base not in bound:
                     yield c.base
                 yield from walk(body, bound | {n for n, _ in binders})
-            case Output(a, args, body) | ReverseOutput(a, args, body):
-                for n in (a, *args):
-                    if n not in bound:
-                        yield n
-                yield from walk(body, bound)
             case COutput(c, args, body):
                 for n in (c.base, *(a.base for a in args)):
                     if n not in bound:
                         yield n
                 yield from walk(body, bound)
-            case Par(l, r) | Choice(l, r) | CPar(l, r) | CChoice(l, r):
+            case CPar(l, r) | CChoice(l, r):
                 yield from walk(l, bound)
                 yield from walk(r, bound)
-            case Restrict(x, _, body) | CRestrict(x, _, body):
+            case CRestrict(x, _, body):
                 yield from walk(body, bound | {x})
-            case Replicate(body) | CReplicate(body):
+            case CReplicate(body):
                 yield from walk(body, bound)
 
     return walk(p, frozenset())

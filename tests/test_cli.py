@@ -268,6 +268,14 @@ def test_wide_composition_compiles(capsys, tmp_path):
     assert run_cli(capsys, "run", str(wide), "--mode", "seeded") == (0, "HALT: normal-stuck\n", "")
 
 
+def test_replicated_wide_composition_runs_seeded(capsys, tmp_path):
+    # The replica's heads are collected down the right spine of its `|` chain.
+    wide = tmp_path / "wide.gpi"
+    wide.write_text("chan a : dyn;\nrun !(" + " | ".join(["a!<>"] * 2000) + ") | a?().0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(wide), "--mode", "seeded", "--max-steps", "50")
+    assert (code, out, err) == (5, "HALT: max-steps\n", "")
+
+
 def test_malformed_cast_is_internal_error_exit_seventy(capsys, monkeypatch):
     import gradualpi.runtime as runtime
 

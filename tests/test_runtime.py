@@ -185,10 +185,69 @@ def test_resolve_output_bare_is_identity():
     assert resolved == out and applied == ()
 
 
+iD = ChanType(Capability.IN, (DYN,))
+o0 = ChanType(Capability.OUT, ())
+i0 = ChanType(Capability.IN, ())
+
+
 def test_resolve_output_malformed_on_dyn_target():
     out = COutput(CastChannel(a, ((T, DYN),)), (), CNil())
-    with pytest.raises(MalformedCastError):
+    with pytest.raises(MalformedCastError) as raised:
         resolve_output_casts(out)
+    assert str(raised.value) == "output subject cast does not end in an output capability: (a : o() => dyn)"
+
+
+@pytest.mark.parametrize(
+    "resolve, message",
+    [
+        (
+            lambda: resolve_output_casts(COutput(CastChannel(a, ((oT, iT),)), (bare(m),), CNil())),
+            "output subject cast does not end in an output capability: (a : o(o()) => i(o()))",
+        ),
+        (
+            lambda: resolve_output_casts(COutput(CastChannel(a, ((o0, oT),)), (bare(m),), CNil())),
+            "cast frame arity does not match the output arguments: (a : o() => o(o()))",
+        ),
+        (
+            lambda: resolve_output_casts(COutput(CastChannel(a, ((DYN, oT),)), (), CNil())),
+            "cast frame arity does not match the output arguments: (a : o(dyn) => o(o()))",
+        ),
+        (
+            lambda: resolve_input_casts(
+                CInput(CastChannel(a, ((iT, oT),)), ((s, T),), CNil()), COutput(bare(a), (bare(m),), CNil())
+            ),
+            "input subject cast does not end in an input capability: (a : i(o()) => o(o()))",
+        ),
+        (
+            lambda: resolve_input_casts(
+                CInput(CastChannel(a, ((iT, iD),)), ((s, T),), CNil()), COutput(bare(a), (bare(m),), CNil())
+            ),
+            "cast frame does not match the binder annotations: (a : i(o()) => i(dyn))",
+        ),
+        (
+            lambda: resolve_input_casts(
+                CInput(CastChannel(a, ((i0, iT),)), ((s, T),), CNil()), COutput(bare(a), (bare(m),), CNil())
+            ),
+            "cast frame arity does not match the communication: (a : i() => i(o()))",
+        ),
+        (
+            lambda: resolve_input_casts(
+                CInput(CastChannel(a, ((DYN, iT),)), ((s, T),), CNil()), COutput(bare(a), (), CNil())
+            ),
+            "cast frame arity does not match the communication: (a : i(dyn) => i(o()))",
+        ),
+        (
+            lambda: resolve_input_casts(
+                CInput(bare(a), ((s, T),), CNil()), COutput(CastChannel(a, ((oT, oT),)), (bare(m),), CNil())
+            ),
+            "input casts are resolved against a bare-subject output",
+        ),
+    ],
+)
+def test_resolve_malformed_frame_is_named(resolve, message):
+    with pytest.raises(MalformedCastError) as raised:
+        resolve()
+    assert str(raised.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -203,6 +262,15 @@ def test_resolve_input_refund_branch():
     assert applied == ("c-in-expand", "c-in-succeed", "c-in-succeed")
     assert inp2 == CInput(bare(x), ((s, T),), CNil())
     assert out2 == COutput(bare(x), (CastChannel(m, ((T, DYN), (DYN, T))),), CNil())
+
+
+def test_resolve_input_expands_dyn_then_succeeds():
+    inp = CInput(CastChannel(x, ((DYN, iT),)), ((s, T),), CNil())
+    out = COutput(bare(x), (bare(m),), CNil())
+    (inp2, out2), applied = resolve_input_casts(inp, out)
+    assert applied == ("c-in-expand", "c-in-succeed")
+    assert inp2 == CInput(bare(x), ((s, DYN),), CNil())
+    assert out2 == COutput(bare(x), (CastChannel(m, ((T, DYN),)),), CNil())
 
 
 def test_resolve_input_fail_on_output_capability():
