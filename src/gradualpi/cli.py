@@ -62,6 +62,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="gradualpi", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)

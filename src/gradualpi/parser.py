@@ -9,9 +9,9 @@ omitted.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     Capability,
@@ -85,69 +85,54 @@ class Program:
 # Lexer
 # --------------------------------------------------------------------------
 
-_IDENT_START = set(string.ascii_letters + "_")
-_IDENT_CONT = _IDENT_START | set(string.digits) | {"'"}
 _KEYWORDS = {"chan", "run", "new", "dyn"}
 
+# Blanks, then one of: a newline, a `--` comment, an identifier or keyword,
+# a punctuation token (`0` only when no identifier character follows it),
+# any other character (an error), or the end of the text.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(\n)|(--[^\n]*)|([A-Za-z_][A-Za-z0-9_']*)"
+    r"|(0(?![A-Za-z0-9_'])|!!|[()<>:;,.!?+|])|(.)|\Z)"
+)
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
-
-    @property
-    def end_col(self) -> int:
-        return self.col + len(self.text)
+    end_col: int
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    append = tokens.append
+    new = tuple.__new__
+    line, start = 1, 0  # start: index of the current line's first character
+    eof = len(text)
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group is None:  # the end of the text
+            break
+        i = m.start(group)
+        if group == 3:
+            word = m[3]
+            col = i - start + 1
+            append(new(_Token, (word if word in _KEYWORDS else "ident", word, line, col, col + len(word))))
+        elif group == 4:
+            punct = m[4]
+            col = i - start + 1
+            append(new(_Token, (punct, punct, line, col, col + len(punct))))
+        elif group == 1:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "0" and (i + 1 >= n or text[i + 1] not in _IDENT_CONT):
-            tokens.append(_Token("0", "0", line, col))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("!!", i):
-            tokens.append(_Token("!!", "!!", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "()<>:;,.!?+|":
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise GpiSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+            start = i + 1
+        elif group == 2:
+            if m.end() == eof:  # after a final comment, eof sits where the comment starts
+                eof = i
+        else:
+            raise GpiSyntaxError(f"unexpected character {m[5]!r}", line, i - start + 1)
+    col = eof - start + 1
+    append(new(_Token, ("eof", "", line, col, col)))
     return tokens
 
 
@@ -266,11 +251,12 @@ class _Parser:
             self.next()
             self.expect("(")
             binders: list[tuple[Name, Type]] = []
+            seen: set[Name] = set()
             if self.peek().kind != ")":
-                binders.append(self.parse_binder(binders))
+                binders.append(self.parse_binder(seen))
                 while self.peek().kind == ",":
                     self.next()
-                    binders.append(self.parse_binder(binders))
+                    binders.append(self.parse_binder(seen))
             close = self.expect(")")
             body = self.parse_continuation(close)
             return Input(subject, tuple(binders), body, self._span(start))
@@ -290,11 +276,12 @@ class _Parser:
         self.fail(("?", "!", "!!"))
         raise AssertionError
 
-    def parse_binder(self, seen: list[tuple[Name, Type]]) -> tuple[Name, Type]:
+    def parse_binder(self, seen: set[Name]) -> tuple[Name, Type]:
         tok = self.expect("ident")
         name = Name(tok.text)
-        if any(name == m for m, _ in seen):
+        if name in seen:
             raise GpiSyntaxError(f"binder {name} repeated in one input", tok.line, tok.col)
+        seen.add(name)
         self.expect(":")
         return name, self.parse_type()
 
@@ -313,12 +300,14 @@ class _Parser:
 
     def parse_program(self, source: Optional[str]) -> Program:
         decls: list[tuple[Name, Type]] = []
+        declared: set[Name] = set()
         while self.peek().kind == "chan":
             self.next()
             tok = self.expect("ident")
             name = Name(tok.text)
-            if any(name == m for m, _ in decls):
+            if name in declared:
                 raise DuplicateDeclarationError(name, tok.line, tok.col)
+            declared.add(name)
             self.expect(":")
             ty = self.parse_type()
             self.expect(";")
@@ -326,7 +315,7 @@ class _Parser:
         self.expect("run")
         proc = self.parse_process()
         self.expect("eof")
-        _check_declared(proc, frozenset(n for n, _ in decls))
+        _check_declared(proc, frozenset(declared))
         return Program(TypeEnv(tuple(decls)), proc, source)
 
 

@@ -95,18 +95,33 @@ class UnboundNameError(LookupError):
 
 @dataclass(frozen=True)
 class TypeEnv:
-    """A finite map from names to types; later bindings shadow earlier ones."""
+    """A finite map from names to types; later bindings shadow earlier ones.
+
+    ``bindings`` is the whole value; ``_types`` indexes it by name (the last
+    binding of each name) and takes no part in equality, hashing or repr.
+    """
 
     bindings: tuple[tuple[Name, Type], ...] = ()
+    _types: dict[Name, Type] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_types", dict(self.bindings))
 
     def lookup(self, name: Name) -> Type:
-        for bound, ty in reversed(self.bindings):
-            if bound == name:
-                return ty
-        raise UnboundNameError(name)
+        try:
+            return self._types[name]
+        except KeyError:
+            raise UnboundNameError(name) from None
 
     def extend(self, pairs: Iterable[tuple[Name, Type]]) -> "TypeEnv":
-        return TypeEnv(self.bindings + tuple(pairs))
+        """The receiver's index is copied without rehashing; only ``pairs`` are added."""
+        pairs = tuple(pairs)
+        types = self._types.copy()
+        types.update(pairs)
+        env = object.__new__(TypeEnv)
+        object.__setattr__(env, "bindings", self.bindings + pairs)
+        object.__setattr__(env, "_types", types)
+        return env
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,16 @@ route to alpha-equivalence.  The reference printer renames nothing, so it
 is what the printers must produce whenever no two names render alike.  The
 printed state key and the all-pairs redex enumeration are the runtime's
 earlier, slower implementations, kept as references for the structural key
-and the single-pass enumerator.
+and the single-pass enumerator.  The character-loop lexer is the parser's
+earlier lexer, kept as the reference for the single-regex one.
 """
 
 from __future__ import annotations
 
-from gradualpi.parser import format_channel, print_cast
+import string
+from dataclasses import dataclass
+
+from gradualpi.parser import GpiSyntaxError, format_channel, print_cast
 from gradualpi.runtime import Configuration, Redex
 from gradualpi.syntax import (
     CastChannel,
@@ -192,3 +196,69 @@ def naive_enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
                 redexes.append(Redex("replicate", (k,)))
     rank = {"comm": 0, "c-solve": 0, "choice-left": 1, "choice-right": 2, "replicate": 3}
     return tuple(sorted(redexes, key=lambda r: (r.participants[0], rank[r.kind], r.participants[1:])))
+
+
+_IDENT_START = set(string.ascii_letters + "_")
+_IDENT_CONT = _IDENT_START | set(string.digits) | {"'"}
+_KEYWORDS = {"chan", "run", "new", "dyn"}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+    @property
+    def end_col(self) -> int:
+        return self.col + len(self.text)
+
+
+def reference_lex(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in _IDENT_START:
+            j = i
+            while j < n and text[j] in _IDENT_CONT:
+                j += 1
+            word = text[i:j]
+            kind = word if word in _KEYWORDS else "ident"
+            tokens.append(_Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        if c == "0" and (i + 1 >= n or text[i + 1] not in _IDENT_CONT):
+            tokens.append(_Token("0", "0", line, col))
+            i += 1
+            col += 1
+            continue
+        if text.startswith("!!", i):
+            tokens.append(_Token("!!", "!!", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in "()<>:;,.!?+|":
+            tokens.append(_Token(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise GpiSyntaxError(f"unexpected character {c!r}", line, col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gradualpi.cli as cli
 from conftest import CORPUS, golden
 from gradualpi.cli import main
 
@@ -53,6 +58,34 @@ def test_parse_error_exit_three(capsys, tmp_path):
 def test_usage_error_exit_four(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 4
+
+
+def test_one_argument_parser_serves_every_call(capsys, monkeypatch):
+    built = []
+    init = cli._ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "gradualpi":  # the top-level parser, not a subcommand's
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counted)
+    calls = [["check"], ["check", corpus("client.gpi")], ["run", corpus("race.gpi"), "--seed", "x"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "gradualpi", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in fresh] == [4, 0, 4]
+    for _ in range(3):  # each call prints what it prints in a fresh process, whatever came before
+        assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert len(built) <= 1 and cli._build_parser() is cli._build_parser()
 
 
 def test_missing_file_is_usage_error(capsys):

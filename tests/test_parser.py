@@ -5,14 +5,15 @@ import random
 import pytest
 
 from conftest import CORPUS, RUNNABLE_CORPUS, compile_corpus, load
-from gen import random_surface
-from oracles import reference_print, renders_injectively
+from gen import random_program, random_surface
+from oracles import reference_lex, reference_print, renders_injectively
 from gradualpi.castinsert import insert_casts
 from gradualpi.parser import (
     DuplicateDeclarationError,
     GpiParseError,
     GpiSyntaxError,
     UndeclaredChannelError,
+    _lex,
     format_channel,
     parse,
     parse_process,
@@ -108,6 +109,10 @@ def test_parse_errors_carry_positions():
 def test_duplicate_declaration_rejected():
     with pytest.raises(DuplicateDeclarationError):
         parse("chan a : o(); chan a : o(); run 0")
+    many = "".join(f"chan c{k} : o();\n" for k in range(1999)) + "chan c0 : o();\nrun 0"
+    with pytest.raises(DuplicateDeclarationError) as err:
+        parse(many)
+    assert (err.value.message, err.value.line, err.value.col) == ("channel c0 is declared twice", 2000, 6)
 
 
 def test_undeclared_free_name_rejected():
@@ -131,6 +136,56 @@ def test_reserved_words_are_not_channel_names():
         parse("chan dyn : o(); run 0")
     with pytest.raises(GpiSyntaxError):
         parse_process("new!<>.0")
+
+
+def _tokens_or_error(lex, text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col, t.end_col) for t in lex(text)]
+    except GpiSyntaxError as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+# Pieces the two lexers could split differently: comments, blanks, `0`
+# next to identifier characters, runs of `!`, quotes, digits, non-ASCII.
+# Half the soups leave out the pieces that are errors outside a comment,
+# so that token positions deep into a text are compared too.
+_SOUP_LEXES = (
+    "--", "\r", "\t", "\n", " ", "0", "!!!", "!!", "!", "_", "a", "x1", "y'2",
+    "chan", "run", "new", "dyn", "runx", "i", "o", "(", ")", "<", ">", ":", ";", ",", ".", "?", "+", "|",
+)
+_SOUP = _SOUP_LEXES + ("-", "0x", "0'", "00", "'", "1", "7", "9", "é", "λ")
+
+
+def test_lexer_matches_the_reference_lexer():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.gpi"))]
+    rng = random.Random(43)
+    for k in range(300):
+        if k % 2:
+            env, proc = random_program(rng, dyn_free=rng.random() < 0.5)
+            decls = "".join(f"chan {n} : {t};\n" for n, t in env.bindings)
+            texts.append(f"{decls}run {print_surface(proc)}\n")
+        else:
+            texts.append(print_surface(random_surface(rng, 6)))
+    for k in range(3000):
+        pieces = _SOUP if k % 2 else _SOUP_LEXES
+        texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(0, 30))))
+    errors = 0
+    for text in texts:
+        got = _tokens_or_error(_lex, text)
+        assert got == _tokens_or_error(reference_lex, text), repr(text)
+        errors += isinstance(got, tuple)
+    assert 1000 <= errors <= len(texts) - 1000, errors  # both outcomes are well represented
+
+
+def test_eof_after_a_final_comment_sits_at_the_comment():
+    for text in ("chan a : o(); -- note", "chan a : o();   -- note", "chan a : o(); --"):
+        with pytest.raises(GpiSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, text.index("--") + 1)
+        assert "end of input" in err.value.message
+    with pytest.raises(GpiSyntaxError) as err:
+        parse("chan a : o(); -- note\n  ")
+    assert (err.value.line, err.value.col) == (2, 3)
 
 
 def test_parse_totality_fuzz():

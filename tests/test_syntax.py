@@ -134,6 +134,51 @@ def test_env_extension_shadows():
     assert env.lookup(a) == DYN
 
 
+def test_env_extend_leaves_its_receiver_unchanged():
+    base = TypeEnv(((a, T),))
+    grown = base.extend([(a, DYN), (b, T)])
+    assert base.bindings == ((a, T),) and base.lookup(a) == T
+    with pytest.raises(UnboundNameError):
+        base.lookup(b)
+    assert grown.bindings == ((a, T), (a, DYN), (b, T))
+    assert (grown.lookup(a), grown.lookup(b)) == (DYN, T)
+
+
+def test_env_shadowing_holds_through_deep_nesting():
+    types = [T, DYN, ChanType(Capability.IN, (T,))]
+    env, chain = TypeEnv(), []
+    for k in range(200):
+        ty = types[k % 3]
+        env = env.extend([(x, ty), (Name("y", k), ty)])
+        chain.append(env)
+        assert env.lookup(x) == ty
+    for k, env in enumerate(chain):  # every outer environment still sees its own binding
+        assert env.lookup(x) == types[k % 3] and env.lookup(Name("y", k)) == types[k % 3]
+        with pytest.raises(UnboundNameError):
+            env.lookup(Name("y", k + 1))
+
+
+def test_env_equality_and_hash_depend_on_bindings_only():
+    rng = random.Random(47)
+    for _ in range(100):
+        pairs = tuple((rng.choice((a, b, x, Name("x", 1))), random_type(rng)) for _ in range(rng.randint(0, 6)))
+        built = TypeEnv()
+        for k in range(0, len(pairs), 2):
+            built = built.extend(pairs[k : k + 2])
+        direct = TypeEnv(pairs)  # as the test generators build them
+        assert built == direct and hash(built) == hash(direct) and repr(built) == repr(direct)
+        for name in (a, b, x, Name("x", 1), y):
+            want = next((t for n, t in reversed(pairs) if n == name), None)
+            for env in (built, direct):
+                if want is None:
+                    with pytest.raises(UnboundNameError):
+                        env.lookup(name)
+                else:
+                    assert env.lookup(name) == want
+    assert TypeEnv(((a, T), (a, DYN))) != TypeEnv(((a, DYN),))  # same map, different bindings
+    assert repr(TypeEnv(((a, T),))) == f"TypeEnv(bindings=(({a!r}, {T!r}),))"
+
+
 # --------------------------------------------------------------------------
 # cast stacks
 # --------------------------------------------------------------------------
