@@ -62,6 +62,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _budget(text: str) -> int:
+    """A step or depth budget: an int, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return value
+
+
 @functools.cache  # built on the first call, not at import; parse_args keeps no state
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="gradualpi", description=__doc__.split("\n\n")[0])
@@ -92,8 +103,8 @@ def _build_parser() -> _ArgumentParser:
         help="scheduling policy (default: seeded)",
     )
     p_run.add_argument("--seed", type=int, default=0, help="seed for the seeded scheduler")
-    p_run.add_argument("--max-steps", type=int, default=1000, help="step budget for seeded/interactive runs")
-    p_run.add_argument("--depth", type=int, default=20, help="exploration bound for exhaustive runs")
+    p_run.add_argument("--max-steps", type=_budget, default=1000, help="step budget for seeded/interactive runs")
+    p_run.add_argument("--depth", type=_budget, default=20, help="exploration bound for exhaustive runs")
     p_run.add_argument("--trace", action="store_true", help="print one line per reduction step")
     return parser
 

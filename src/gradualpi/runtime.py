@@ -24,7 +24,7 @@ import enum
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .parser import format_channel, print_cast
 from .syntax import (
@@ -248,14 +248,21 @@ class RedexPlan:
         """The redex at position ``k`` of the order."""
         for i, options in self._entries:
             if 0 <= k < len(options):
-                return self._build(i, options[k])
+                return self.build(i, options[k])
             k -= len(options)
         raise IndexError("redex position out of range")
 
     def redexes(self) -> tuple[Redex, ...]:
-        return tuple(self._build(i, option) for i, options in self._entries for option in options)
+        return tuple(self.build(i, option) for i, option in self.options())
 
-    def _build(self, i: int, option: Union[int, str]) -> Redex:
+    def options(self) -> Iterator[tuple[int, Union[int, str]]]:
+        """Each redex as ``(thread, option)``, in order, without building it."""
+        for i, options in self._entries:
+            for option in options:
+                yield i, option
+
+    def build(self, i: int, option: Union[int, str]) -> Redex:
+        """The redex of thread ``i``'s ``option``."""
         if isinstance(option, str):
             return Redex(option, (i,))
         inp, out = self._threads[i], self._threads[option]
@@ -524,7 +531,7 @@ def _multiset(items: Iterable[Hashable]) -> frozenset[tuple[Hashable, int]]:
     return frozenset(Counter(items).items())
 
 
-def configuration_key(cfg: Configuration, ids: Optional[Sequence[int]] = None) -> Hashable:
+def configuration_key(cfg: Configuration) -> Hashable:
     """A hashable key equal only for alpha-equivalent configurations.
 
     Restricted names are renamed canonically (ordered by first use over a
@@ -532,15 +539,8 @@ def configuration_key(cfg: Configuration, ids: Optional[Sequence[int]] = None) -
     the canonical threads form a multiset.  Ties in the ordering can split
     alpha-equivalent states into distinct keys, which merely weakens
     deduplication, never corrupts it.
-
-    ``ids``, if given, are the threads' canonical forms interned to small
-    ints, in thread order, all from one table (see ``_thread_ids``).  A
-    configuration without restrictions is then keyed by the sorted ids,
-    which induces the same partition without touching any term.
     """
     halted = cfg.halted.status if cfg.halted else None
-    if ids is not None and not cfg.restrictions:
-        return tuple(sorted(ids)), halted
     rename: dict[Name, CastChannel] = {}
     if cfg.restrictions:
         # The thread ordering compares printed forms, so that this key
@@ -623,17 +623,57 @@ def _run_sequential(cfg: Configuration, offer, pick, max_steps: int) -> Outcome:
         events.append(event)
 
 
-def _thread_ids(
-    cfg: Configuration, known: Mapping[int, int], table: dict[CastProcess, int]
-) -> Optional[tuple[int, ...]]:
-    """Ids of the threads' canonical forms, numbered in ``table`` by arrival
-    (none when restricted); ``known`` maps ``id()`` of live threads to ids."""
-    if cfg.restrictions:
-        return None
-    return tuple(
-        known[id(thread)] if id(thread) in known else table.setdefault(canonical(thread), len(table))
-        for thread in cfg.threads
-    )
+def _intern(thread: CastProcess, table: dict[CastProcess, int]) -> int:
+    """The id of ``thread``'s canonical form in ``table``, numbered by arrival.
+
+    The table also maps each thread it was asked for to that id, so no
+    thread form is put in canonical form twice.  A canonical form is its
+    own canonical form, so the two kinds of key never disagree.
+    """
+    found = table.get(thread)
+    if found is None:
+        found = table[thread] = table.setdefault(canonical(thread), len(table))
+    return found
+
+
+def _ids_key(ids: Iterable[int], status: Optional[Status]) -> Hashable:
+    """The key of an unrestricted state from its threads' interned ids.
+
+    Ids stand one-to-one for canonical forms, so sorted ids and the halt
+    status partition states exactly as ``configuration_key`` does.
+    """
+    return tuple(sorted(ids)), status
+
+
+def _learn_move(
+    cfg: Configuration, redex: Redex, table: dict[CastProcess, int]
+) -> tuple[Configuration, Optional[tuple[tuple[tuple[int, ...], ...], Optional[Status]]]]:
+    """Apply ``redex`` to an unrestricted ``cfg``.
+
+    Returns the successor and its move-table entry: the ids of the threads
+    that replaced each participant (flattened, in participant order) and
+    the successor's halt status, or ``None`` when the step hoists a
+    restriction.
+    """
+    succ, _, _, results = _reduce(cfg, redex)
+    if succ.restrictions:
+        return succ, None
+    replaced = []
+    for k in redex.participants:
+        threads: list[CastProcess] = []
+        for item in results[k]:
+            _flatten_into(item, [], threads, set(), [])
+        replaced.append(tuple(_intern(thread, table) for thread in threads))
+    return succ, (tuple(replaced), succ.halted.status if succ.halted else None)
+
+
+def _splice(ids: Sequence[int], participants: Sequence[int], replaced: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """``ids`` with each participant's id replaced, in place, by the ids of
+    the threads that replaced it."""
+    spliced = list(ids)
+    for k, new in sorted(zip(participants, replaced), reverse=True):
+        spliced[k : k + 1] = new
+    return tuple(spliced)
 
 
 def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
@@ -641,39 +681,71 @@ def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
 
     Queue entries carry a parent pointer ``(parent, redex)`` instead of a
     trace; only the witnesses' traces are rendered, by replaying their
-    redexes from ``cfg0``.  Each entry also carries its threads' ids in a
-    per-run intern table.  A successor's thread that is one of its parent's
-    threads (every thread the step kept) takes the parent's id, looked up by
-    object identity while the parent is alive, so a successor's key
-    canonicalises only the threads its step created.  A state is dropped
-    when its key was seen before: under FIFO order the first push of a key
-    is at its least depth.
+    redexes from ``cfg0``.  A state is dropped when its key was seen
+    before: under FIFO order the first push of a key is at its least depth.
+
+    An unrestricted state carries its threads' canonical forms interned to
+    ids (one table per run).  A step that hoists no restriction replaces
+    each participant in place and keeps every other thread in order, and
+    what replaces a participant depends on the participants' alpha-classes
+    alone (a substitution, a cast resolution or its failure, a branch, a
+    replica's body).  So a move is looked up in a per-run table by its
+    participants' ids (and, for one thread, its kind), and the successor's
+    key is spliced from its parent's ids: a duplicate successor is
+    rejected before any configuration, redex or canonical term is built.
+    A move that hoists a restriction is recorded as such; its successor is
+    built and keyed by ``configuration_key``, as is every successor of a
+    restricted state, since a restriction is never dropped.
     """
     witnesses: dict[Status, tuple[Halt, Optional[tuple]]] = {}
     table: dict[CastProcess, int] = {}
-    ids0 = _thread_ids(cfg0, {}, table)
-    seen = {configuration_key(cfg0, ids0)}
+    moves: dict[tuple[int, Union[int, str]], Optional[tuple]] = {}
+    if cfg0.restrictions:
+        ids0, key0 = None, configuration_key(cfg0)
+    else:
+        ids0 = tuple(_intern(thread, table) for thread in cfg0.threads)
+        key0 = _ids_key(ids0, cfg0.halted.status if cfg0.halted else None)
+    seen = {key0}
     queue = deque([(cfg0, ids0, 0, None)])
     while queue:
         cfg, ids, d, path = queue.popleft()
         if cfg.halted is not None:
             witnesses.setdefault(cfg.halted.status, (cfg.halted, path))
             continue
-        redexes = enumerate_redexes(cfg)
-        if not redexes:
+        plan = redex_plan(cfg)
+        if not plan:
             witnesses.setdefault(Status.NORMAL_STUCK, (Halt(Status.NORMAL_STUCK), path))
             continue
         if d >= depth:
             witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), path))
             continue
-        known = dict(zip(map(id, cfg.threads), ids or ()))
-        for redex in redexes:
-            succ = _reduce(cfg, redex)[0]
-            succ_ids = _thread_ids(succ, known, table)
-            key = configuration_key(succ, succ_ids)
-            if key not in seen:
-                seen.add(key)
-                queue.append((succ, succ_ids, d + 1, (path, redex)))
+        for i, option in plan.options():
+            redex = succ = succ_ids = move = None
+            if ids is not None:
+                # A pair's kind (comm or c-solve) follows from its threads.
+                signature = (ids[i], option if isinstance(option, str) else ids[option])
+                if signature in moves:
+                    move = moves[signature]
+                else:
+                    redex = plan.build(i, option)
+                    succ, move = _learn_move(cfg, redex, table)
+                    moves[signature] = move
+            if move is None:  # a restricted parent, or a move that hoists a restriction
+                if succ is None:
+                    redex = plan.build(i, option)
+                    succ = _reduce(cfg, redex)[0]
+                key = configuration_key(succ)
+            else:
+                replaced, status = move
+                succ_ids = _splice(ids, (i,) if isinstance(option, str) else (i, option), replaced)
+                key = _ids_key(succ_ids, status)
+            if key in seen:
+                continue
+            seen.add(key)
+            if succ is None:
+                redex = plan.build(i, option)
+                succ = _reduce(cfg, redex)[0]
+            queue.append((succ, succ_ids, d + 1, (path, redex)))
     outcomes = []
     for status in _STATUS_ORDER:
         if status in witnesses:

@@ -7,16 +7,32 @@ is what the printers must produce whenever no two names render alike.  The
 printed state key and the all-pairs redex enumeration are the runtime's
 earlier, slower implementations, kept as references for the structural key
 and the single-pass enumerator.  The character-loop lexer is the parser's
-earlier lexer, kept as the reference for the single-regex one.
+earlier lexer, kept as the reference for the single-regex one.  The
+reference explorer is the runtime's earlier exhaustive search, which keys
+every successor it builds, kept as the reference for the move-table search.
 """
 
 from __future__ import annotations
 
 import string
+from collections import deque
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from gradualpi.parser import GpiSyntaxError, format_channel, print_cast
-from gradualpi.runtime import Configuration, Redex
+from gradualpi.runtime import (
+    _STATUS_ORDER,
+    Configuration,
+    Halt,
+    Outcome,
+    Redex,
+    RunReport,
+    Status,
+    _reduce,
+    _replay,
+    configuration_key,
+    enumerate_redexes,
+)
 from gradualpi.syntax import (
     CastChannel,
     Choice,
@@ -28,6 +44,7 @@ from gradualpi.syntax import (
     CReplicate,
     CRestrict,
     CTypeError,
+    CastProcess,
     Input,
     Name,
     Nil,
@@ -160,6 +177,63 @@ def printed_configuration_key(cfg: Configuration) -> str:
     threads = sorted(print_cast(canonical(substitute(t, rename))) for t in cfg.threads)
     halted = cfg.halted.status.value if cfg.halted else ""
     return repr((reslist, unused, threads, halted))
+
+
+def _id_key(cfg: Configuration, ids: Optional[tuple[int, ...]]):
+    """The earlier ``configuration_key(cfg, ids)``: sorted ids when unrestricted."""
+    if ids is not None and not cfg.restrictions:
+        return tuple(sorted(ids)), cfg.halted.status if cfg.halted else None
+    return configuration_key(cfg)
+
+
+def _thread_ids(
+    cfg: Configuration, known: Mapping[int, int], table: dict[CastProcess, int]
+) -> Optional[tuple[int, ...]]:
+    """Ids of the threads' canonical forms, numbered in ``table`` by arrival
+    (none when restricted); ``known`` maps ``id()`` of live threads to ids."""
+    if cfg.restrictions:
+        return None
+    return tuple(
+        known[id(thread)] if id(thread) in known else table.setdefault(canonical(thread), len(table))
+        for thread in cfg.threads
+    )
+
+
+def reference_explore(cfg0: Configuration, depth: int) -> RunReport:
+    """Breadth-first search that builds and keys every successor, one
+    witness per terminal status; a kept thread takes its parent's id by
+    object identity."""
+    witnesses: dict[Status, tuple[Halt, Optional[tuple]]] = {}
+    table: dict[CastProcess, int] = {}
+    ids0 = _thread_ids(cfg0, {}, table)
+    seen = {_id_key(cfg0, ids0)}
+    queue = deque([(cfg0, ids0, 0, None)])
+    while queue:
+        cfg, ids, d, path = queue.popleft()
+        if cfg.halted is not None:
+            witnesses.setdefault(cfg.halted.status, (cfg.halted, path))
+            continue
+        redexes = enumerate_redexes(cfg)
+        if not redexes:
+            witnesses.setdefault(Status.NORMAL_STUCK, (Halt(Status.NORMAL_STUCK), path))
+            continue
+        if d >= depth:
+            witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), path))
+            continue
+        known = dict(zip(map(id, cfg.threads), ids or ()))
+        for redex in redexes:
+            succ = _reduce(cfg, redex)[0]
+            succ_ids = _thread_ids(succ, known, table)
+            key = _id_key(succ, succ_ids)
+            if key not in seen:
+                seen.add(key)
+                queue.append((succ, succ_ids, d + 1, (path, redex)))
+    outcomes = []
+    for status in _STATUS_ORDER:
+        if status in witnesses:
+            halt, path = witnesses[status]
+            outcomes.append(Outcome(status, halt, _replay(cfg0, path)))
+    return RunReport(tuple(outcomes))
 
 
 def _heads(term: Process) -> list[tuple[str, Name, int]]:

@@ -233,6 +233,17 @@ def test_run_max_steps_exit_five(capsys):
     assert out == "HALT: max-steps\n"
 
 
+def test_negative_budget_is_usage_error(capsys):
+    for flag, mode in (("--depth", "exhaustive"), ("--max-steps", "seeded")):
+        for value in ("-1", "-3"):
+            code, out, err = run_cli(capsys, "run", corpus("race.gpi"), "--mode", mode, flag, value)
+            assert (code, out, err) == (4, "", f"gradualpi: argument {flag}: must not be negative: '{value}'\n")
+        code, out, err = run_cli(capsys, "run", corpus("race.gpi"), "--mode", mode, flag, "x")
+        assert (code, out, err) == (4, "", f"gradualpi: argument {flag}: invalid int value: 'x'\n")
+        code, out, _ = run_cli(capsys, "run", corpus("race.gpi"), "--mode", mode, flag, "0")
+        assert code == 5 and out.endswith(("HALT: depth-exceeded\n", "HALT: max-steps\n"))
+
+
 def test_run_composition_rejects_ill_typed_party(capsys):
     code, _, _ = run_cli(capsys, "run", corpus("client.gpi"), corpus("sneaky_client.gpi"))
     assert code == 1

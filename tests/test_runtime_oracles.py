@@ -2,11 +2,13 @@
 
 The structural `configuration_key` must induce exactly the partition of
 states that the printed key induces, and so must the keys the explorer
-builds from interned thread ids.  The explorer's replayed witnesses must
-print exactly what an explorer rendering every step eagerly prints.  The
-single-pass `enumerate_redexes` must return exactly the tuple of the
-all-pairs-then-sort reference, and `redex_plan` must count that tuple and
-build each of its positions alone.
+splices from interned thread ids.  The explorer's replayed witnesses must
+print exactly what an explorer rendering every step eagerly prints, and
+the explorer must queue exactly the states the reference explorer, which
+builds and keys every successor, queues.  The single-pass
+`enumerate_redexes` must return exactly the tuple of the all-pairs-then-sort
+reference, and `redex_plan` must count that tuple and build each of its
+positions alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from gradualpi.runtime import (
 )
 from gradualpi.syntax import DYN, CPar, CRestrict, free_names
 from gradualpi.typecheck import check
-from oracles import naive_enumerate_redexes, printed_configuration_key
+from oracles import naive_enumerate_redexes, printed_configuration_key, reference_explore
+import oracles
 
 DRAWS = 200
 
@@ -97,21 +100,49 @@ def test_structural_key_partitions_states_like_the_printed_key():
 
 @functools.cache
 def explored_states() -> list:
-    """`(search, state, thread ids)` for every state the explorer keys in a
-    depth-10 search of each corpus composition and random party set."""
+    """`(search, state, key, by ids)` for every state the explorer keys in a
+    depth-10 search of each corpus composition and random party set.
+
+    A state keyed by `configuration_key` is recorded as the explorer built
+    it.  A state keyed by ids spliced from its parent's is not built by the
+    explorer when its key was seen; it is built here, from the parent and
+    the plan option being taken, with `_reduce`.
+    """
     keyed = []
-    key = runtime.configuration_key
+    key, ids_key, plan_of = runtime.configuration_key, runtime._ids_key, runtime.redex_plan
+    current: list = []  # [state being expanded, its plan, option being taken]
 
-    def record(cfg, ids=None):
-        keyed.append((search, cfg, ids))
-        return key(cfg, ids)
+    def record_key(cfg):
+        result = key(cfg)
+        keyed.append((search, cfg, result, False))
+        return result
 
-    runtime.configuration_key = record
+    def record_ids_key(ids, status):
+        result = ids_key(ids, status)
+        cfg, plan, option = current
+        state = cfg if option is None else runtime._reduce(cfg, plan.build(*option))[0]
+        keyed.append((search, state, result, True))
+        return result
+
+    def noting_plan(cfg):
+        plan = plan_of(cfg)
+        options = plan.options
+
+        def noted():
+            for option in options():
+                current[:] = [cfg, plan, option]
+                yield option
+
+        plan.options = noted
+        return plan
+
+    runtime.configuration_key, runtime._ids_key, runtime.redex_plan = record_key, record_ids_key, noting_plan
     try:
         for search, cfg in enumerate(corpus_configs() + party_configs(229)):
+            current[:] = [cfg, None, None]
             run(cfg, Exhaustive(10))
     finally:
-        runtime.configuration_key = key
+        runtime.configuration_key, runtime._ids_key, runtime.redex_plan = key, ids_key, plan_of
     return keyed
 
 
@@ -120,19 +151,19 @@ def test_explorer_id_keys_partition_states_like_the_keys():
     by_ids: dict = {}
     back: dict = {}
     with_ids = restricted = 0
-    for search, cfg, ids in explored_states():
-        fast = (search, configuration_key(cfg, ids))
+    for search, cfg, fast, by_id in explored_states():
+        fast = (search, fast)
         slow = (search, configuration_key(cfg), printed_configuration_key(cfg))
         assert by_ids.setdefault(fast, slow) == slow
         assert back.setdefault(slow[:2], fast) == fast
         assert back.setdefault((search, slow[2]), fast) == fast
-        with_ids += ids is not None
+        with_ids += by_id
         restricted += bool(cfg.restrictions)
     assert len(by_ids) > 1000 and with_ids > 1000 and restricted > 500
 
 
 def test_redex_plan_counts_and_builds_the_reference_order():
-    for _, cfg, _ in explored_states():
+    for _, cfg, _, _ in explored_states():
         plan, expected = redex_plan(cfg), naive_enumerate_redexes(cfg)
         assert len(plan) == len(expected)
         assert tuple(plan.redex(k) for k in range(len(plan))) == expected
@@ -186,3 +217,82 @@ def test_redex_order_matches_the_all_pairs_reference():
                     break
                 cfg, _ = step(cfg, redexes[rng.randrange(len(redexes))], index)
     assert compared > 3 * DRAWS
+
+
+def explore_queued(explore, module, monkeypatch, cfg, depth: int):
+    """`explore(cfg, depth)`, and the printed keys of the states it queued in order.
+
+    `module` is where `explore` looks up `deque`.
+    """
+    queued: list[str] = []
+
+    class Recording(deque):
+        def append(self, entry):
+            queued.append(printed_configuration_key(entry[0]))
+            super().append(entry)
+
+    def recording(entries):
+        queue = Recording()
+        for entry in entries:
+            queue.append(entry)
+        return queue
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "deque", recording)
+        return explore(cfg, depth), queued
+
+
+def assert_explores_like_the_reference(monkeypatch, cfg, depth: int):
+    report, queued = explore_queued(lambda c, d: run(c, Exhaustive(d)), runtime, monkeypatch, cfg, depth)
+    expected, expected_queued = explore_queued(reference_explore, oracles, monkeypatch, cfg, depth)
+    assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
+    assert [o.halt for o in report.outcomes] == [o.halt for o in expected.outcomes]
+    assert queued == expected_queued
+    return len(queued)
+
+
+def test_explorer_queues_the_states_of_the_reference_explorer(monkeypatch):
+    configs = corpus_configs() + party_configs(233)
+    restricted = sum(bool(cfg.restrictions) for cfg in configs)
+    queued = sum(assert_explores_like_the_reference(monkeypatch, cfg, 10) for cfg in configs)
+    queued += assert_explores_like_the_reference(monkeypatch, compile_corpus("dyn_race.gpi"), 40)
+    race = assert_explores_like_the_reference(monkeypatch, compile_corpus("dyn_race4.gpi"), 10)
+    assert restricted >= DRAWS // 3 and queued > 1000 and race > 1000
+
+
+def test_move_that_hoists_a_restriction_is_learnt_as_restricting(monkeypatch):
+    cfg = compile_corpus("extrusion_receivers.gpi", "extrusion_senders.gpi")
+    assert not cfg.restrictions
+    learnt = []
+    learn = runtime._learn_move
+
+    def record(cfg, redex, table):
+        succ, move = learn(cfg, redex, table)
+        learnt.append((redex.kind, move, bool(succ.restrictions)))
+        return succ, move
+
+    monkeypatch.setattr(runtime, "_learn_move", record)
+    report = run(cfg, Exhaustive(20))
+    assert ("comm", None, True) in learnt
+    assert all((move is None) == restricts for _, move, restricts in learnt)
+    expected = reference_explore(cfg, 20)
+    assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
+    assert [o.halt for o in report.outcomes] == [o.halt for o in expected.outcomes]
+
+
+def test_explorer_reduces_and_canonicalises_only_new_work(monkeypatch):
+    # The parent of the move table made 14,152 `_reduce` calls on the 4x4 race.
+    for name in ("dyn_race4.gpi", "dyn_race.gpi"):
+        cfg = compile_corpus(name)
+        reduced = []
+        forms = []
+        moves = []
+        reduce, canonicalise, learn = runtime._reduce, runtime.canonical, runtime._learn_move
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime, "_reduce", lambda *args: reduced.append(1) or reduce(*args))
+            patch.setattr(runtime, "canonical", lambda thread: forms.append(thread) or canonicalise(thread))
+            patch.setattr(runtime, "_learn_move", lambda *args: moves.append(1) or learn(*args))
+            report, queued = explore_queued(lambda c, d: run(c, Exhaustive(d)), runtime, monkeypatch, cfg, 40)
+        replayed = sum(len(outcome.trace) for outcome in report.outcomes)
+        assert len(reduced) <= len(queued) + len(moves) + replayed
+        assert len(forms) == len({canonicalise(thread) for thread in forms})
