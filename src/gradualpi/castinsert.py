@@ -12,6 +12,7 @@ display every optimism site.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .syntax import (
@@ -42,6 +43,7 @@ from .syntax import (
     Type,
     TypeEnv,
     UnboundNameError,
+    fold,
 )
 
 
@@ -85,50 +87,58 @@ def insert_casts(env: TypeEnv, proc: SurfaceProcess) -> CompilationOutput:
     """Compile a surface process; the caller must have type checked it."""
     sites: list[CastSite] = []
     try:
-        out = _compile(env, proc, sites)
+        out = fold(proc, env, partial(_compile, sites))
     except UnboundNameError as exc:
         raise ValueError(f"insert_casts requires a type-checked process: {exc}") from exc
     return CompilationOutput(out, tuple(sites))
 
 
-def _compile(env: TypeEnv, p: SurfaceProcess, sites: list[CastSite]) -> CastProcess:
-    if isinstance(p, (Par, Choice)):
-        # The right spine of a chain, without recursion: operands compile
-        # left to right (the order of the site log), then fold back up.
-        spine = []
-        while isinstance(p, (Par, Choice)):
-            spine.append((CPar if isinstance(p, Par) else CChoice, _compile(env, p.left, sites)))
-            p = p.right
-        out = _compile(env, p, sites)
-        for node, left in reversed(spine):
-            out = node(left, out)
-        return out
+def _compile(sites: list[CastSite], p: SurfaceProcess, env: TypeEnv):
+    """One node of compilation, for ``fold``: sites are logged in pre-order."""
     match p:
         case Nil():
-            return CNil()
+            return CNil(), ()
+        case Par(l, r) | Choice(l, r):
+            return (CPar if isinstance(p, Par) else CChoice), ((l, env), (r, env))
         case Restrict(x, t, body):
-            return CRestrict(x, t, _compile(env.extend([(x, t)]), body, sites))
+            return partial(CRestrict, x, t), ((body, env.extend([(x, t)])),)
         case Replicate(body):
-            return CReplicate(_compile(env, body, sites))
+            return CReplicate, ((body, env),)
         case Input(a, binders, body):
             source = env.lookup(a)
             target = ChanType(Capability.IN, tuple(t for _, t in binders))
             sites.append(CastSite(p.span, a, source, target))
             subject = CastChannel(a).push(source, target)
-            return CInput(subject, binders, _compile(env.extend(binders), body, sites))
-        case Output(a, args, body):
+            return partial(CInput, subject, binders), ((body, env.extend(binders)),)
+        case Output(a, args, body) | ReverseOutput(a, args, body):
             source = env.lookup(a)
-            target = ChanType(Capability.OUT, tuple(env.lookup(x) for x in args))
+            arg_types = (env.lookup(x) for x in args)
+            if isinstance(p, ReverseOutput):
+                arg_types = map(reverse_type, arg_types)
+            target = ChanType(Capability.OUT, tuple(arg_types))
             sites.append(CastSite(p.span, a, source, target))
             subject = CastChannel(a).push(source, target)
-            return COutput(subject, tuple(CastChannel(x) for x in args), _compile(env, body, sites))
-        case ReverseOutput(a, args, body):
-            source = env.lookup(a)
-            target = ChanType(Capability.OUT, tuple(reverse_type(env.lookup(x)) for x in args))
-            sites.append(CastSite(p.span, a, source, target))
-            subject = CastChannel(a).push(source, target)
-            return COutput(subject, tuple(CastChannel(x) for x in args), _compile(env, body, sites))
+            return partial(COutput, subject, tuple(CastChannel(x) for x in args)), ((body, env),)
     raise TypeError(f"not a surface process: {p!r}")
+
+
+def _erase(p: CastProcess, _):
+    match p:
+        case CNil():
+            return Nil(), ()
+        case CPar(l, r) | CChoice(l, r):
+            return (Par if isinstance(p, CPar) else Choice), ((l, None), (r, None))
+        case CInput(c, binders, body):
+            return partial(Input, c.base, binders), ((body, None),)
+        case COutput(c, args, body):
+            return partial(Output, c.base, tuple(a.base for a in args)), ((body, None),)
+        case CRestrict(x, t, body):
+            return partial(Restrict, x, t), ((body, None),)
+        case CReplicate(body):
+            return Replicate, ((body, None),)
+        case CTypeError():
+            raise ValueError("typeError has no surface form")
+    raise TypeError(f"not a cast process: {p!r}")
 
 
 def erase_casts(p: CastProcess) -> SurfaceProcess:
@@ -137,26 +147,4 @@ def erase_casts(p: CastProcess) -> SurfaceProcess:
     Reverse outputs never reappear (they were lowered), and typeError has
     no surface counterpart.
     """
-    if isinstance(p, (CPar, CChoice)):
-        spine = []  # the right spine of a chain, without recursion
-        while isinstance(p, (CPar, CChoice)):
-            spine.append((Par if isinstance(p, CPar) else Choice, erase_casts(p.left)))
-            p = p.right
-        out = erase_casts(p)
-        for node, left in reversed(spine):
-            out = node(left, out)
-        return out
-    match p:
-        case CNil():
-            return Nil()
-        case CInput(c, binders, body):
-            return Input(c.base, binders, erase_casts(body))
-        case COutput(c, args, body):
-            return Output(c.base, tuple(a.base for a in args), erase_casts(body))
-        case CRestrict(x, t, body):
-            return Restrict(x, t, erase_casts(body))
-        case CReplicate(body):
-            return Replicate(erase_casts(body))
-        case CTypeError():
-            raise ValueError("typeError has no surface form")
-    raise TypeError(f"not a cast process: {p!r}")
+    return fold(p, None, _erase)

@@ -3,8 +3,9 @@
 Exit codes: 0 success or normal-stuck run, 1 type-check rejection,
 2 run-time type error, 3 parse error, 4 usage error (including an aborted
 interactive session), 5 step or depth budget exceeded, 70 internal error
-(a broken run-time invariant such as a malformed cast, a program nested
-deeper than the recursion limit, or any other unexpected exception).
+(a broken run-time invariant such as a malformed cast, a channel type
+nested deeper than the recursion limit or an exhaustive run over a term
+that deep, or any other unexpected exception).
 
 `run` accepts several files: each is checked and compiled under its own
 declarations, then the compiled processes execute in parallel.  This is

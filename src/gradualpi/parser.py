@@ -42,6 +42,7 @@ from .syntax import (
     Type,
     TypeEnv,
     free_names,
+    free_occurrences,
 )
 
 
@@ -191,60 +192,76 @@ class _Parser:
     # -- processes ---------------------------------------------------------
 
     def parse_process(self) -> SurfaceProcess:
-        return self.parse_chain("|", Par, self.parse_choice)
+        """`choice ('|' choice)*` with `choice` = `prefix ('+' prefix)*`,
+        both folded to the right.
 
-    def parse_choice(self) -> SurfaceProcess:
-        return self.parse_chain("+", Choice, self.parse_prefix)
+        The open `|` and `+` chains, the prefixes still waiting for their
+        body and the parenthesised groups enclosing them are kept on
+        explicit stacks, so nesting is limited by memory alone.
+        """
+        groups = []  # per open `(`: its token and the enclosing state
+        pars: list[SurfaceProcess] = []  # finished operands of the open `|` chain
+        choices: list[SurfaceProcess] = []  # finished operands of the open `+` chain
+        pending: list = []  # prefixes waiting for their body: (node, fields, start token)
+        while True:
+            tok = self.peek()
+            kind = tok.kind
+            if kind == "(":
+                self.pos += 1
+                groups.append((tok, pars, choices, pending))
+                pars, choices, pending = [], [], []
+                continue
+            if kind == "!" or kind == "!!":
+                # '!!P' is two replications; the reverse-output '!!' only follows a name.
+                self.pos += 1
+                pending += [(Replicate, (), tok)] * len(kind)
+                continue
+            if kind == "new":
+                self.pos += 1
+                self.expect("(")
+                name_tok = self.expect("ident")
+                self.expect(":")
+                ty = self.parse_type()
+                self.expect(")")
+                pending.append((Restrict, (Name(name_tok.text), ty), tok))
+                continue
+            if kind == "ident":
+                node, fields, close = self.parse_action()
+                pending.append((node, fields, tok))
+                if self.peek().kind == ".":
+                    self.pos += 1
+                    continue
+                proc = Nil(Span(close.line, close.end_col, close.line, close.end_col))  # omitted trailing .0
+            elif kind == "0":
+                self.pos += 1
+                proc = Nil(Span(tok.line, tok.col, tok.line, tok.end_col))
+            else:
+                self.fail(("0", "!", "new", "(", "channel name"))
+            # `proc` ends a prefix chain: close its prefixes, then every chain and group it ends.
+            while True:
+                end = self.tokens[self.pos - 1]
+                for node, fields, start in reversed(pending):
+                    proc = node(*fields, proc, Span(start.line, start.col, end.line, end.end_col))
+                kind = self.peek().kind
+                if kind == "+" or kind == "|":
+                    break
+                proc = _fold_chain(Par, pars, _fold_chain(Choice, choices, proc, end), end)
+                if not groups:
+                    return proc
+                close = self.expect(")")
+                tok, pars, choices, pending = groups.pop()
+                proc = replace(proc, span=Span(tok.line, tok.col, close.line, close.end_col))
+            self.pos += 1
+            if kind == "+":
+                choices.append(proc)
+            else:
+                pars.append(_fold_chain(Choice, choices, proc, end))
+                choices = []
+            pending = []
 
-    def parse_chain(self, op: str, node, parse_operand) -> SurfaceProcess:
-        """`operand (op operand)*`, folded to the right; every node's span
-        runs from its first operand to the end of the chain."""
-        starts = [self.peek()]
-        operands = [parse_operand()]
-        while self.peek().kind == op:
-            self.next()
-            starts.append(self.peek())
-            operands.append(parse_operand())
-        proc = operands.pop()
-        while operands:
-            proc = node(operands.pop(), proc, self._span(starts[len(operands)]))
-        return proc
-
-    def parse_prefix(self) -> SurfaceProcess:
-        tok = self.peek()
-        if tok.kind == "0":
-            self.next()
-            return Nil(Span(tok.line, tok.col, tok.line, tok.end_col))
-        if tok.kind == "!":
-            self.next()
-            body = self.parse_prefix()
-            return Replicate(body, self._span(tok))
-        if tok.kind == "!!":
-            # '!!P' is two replications; the reverse-output '!!' only follows a name.
-            self.next()
-            body = self.parse_prefix()
-            inner = Replicate(body, self._span(tok))
-            return Replicate(inner, self._span(tok))
-        if tok.kind == "new":
-            self.next()
-            self.expect("(")
-            name_tok = self.expect("ident")
-            self.expect(":")
-            ty = self.parse_type()
-            self.expect(")")
-            body = self.parse_prefix()
-            return Restrict(Name(name_tok.text), ty, body, self._span(tok))
-        if tok.kind == "(":
-            self.next()
-            inner = self.parse_process()
-            close = self.expect(")")
-            return replace(inner, span=Span(tok.line, tok.col, close.line, close.end_col))
-        if tok.kind == "ident":
-            return self.parse_prefixed(tok)
-        self.fail(("0", "!", "new", "(", "channel name"))
-        raise AssertionError
-
-    def parse_prefixed(self, start: _Token) -> SurfaceProcess:
+    def parse_action(self) -> tuple[type, tuple, _Token]:
+        """`name?(binders)` or `name!<args>` or `name!!<args>`: the node
+        class, its fields before the body, and the closing token."""
         subject = Name(self.next().text)
         tok = self.peek()
         if tok.kind == "?":
@@ -257,9 +274,7 @@ class _Parser:
                 while self.peek().kind == ",":
                     self.next()
                     binders.append(self.parse_binder(seen))
-            close = self.expect(")")
-            body = self.parse_continuation(close)
-            return Input(subject, tuple(binders), body, self._span(start))
+            return Input, (subject, tuple(binders)), self.expect(")")
         if tok.kind in ("!", "!!"):
             self.next()
             self.expect("<")
@@ -270,9 +285,7 @@ class _Parser:
                     self.next()
                     args.append(Name(self.expect("ident").text))
             close = self.expect(">")
-            body = self.parse_continuation(close)
-            node = Output if tok.kind == "!" else ReverseOutput
-            return node(subject, tuple(args), body, self._span(start))
+            return (Output if tok.kind == "!" else ReverseOutput), (subject, tuple(args)), close
         self.fail(("?", "!", "!!"))
         raise AssertionError
 
@@ -284,17 +297,6 @@ class _Parser:
         seen.add(name)
         self.expect(":")
         return name, self.parse_type()
-
-    def parse_continuation(self, close: _Token) -> SurfaceProcess:
-        if self.peek().kind == ".":
-            self.next()
-            return self.parse_prefix()
-        # omitted trailing .0
-        return Nil(Span(close.line, close.end_col, close.line, close.end_col))
-
-    def _span(self, start: _Token) -> Span:
-        prev = self.tokens[self.pos - 1]
-        return Span(start.line, start.col, prev.line, prev.end_col)
 
     # -- programs ----------------------------------------------------------
 
@@ -319,34 +321,20 @@ class _Parser:
         return Program(TypeEnv(tuple(decls)), proc, source)
 
 
+def _fold_chain(node, operands: list[SurfaceProcess], last: SurfaceProcess, end: _Token) -> SurfaceProcess:
+    """`operands` then `last`, folded to the right; each node's span runs
+    from its left operand's start to ``end``, the end of the chain."""
+    for left in reversed(operands):
+        last = node(left, last, Span(left.span.line, left.span.col, end.line, end.end_col))
+    return last
+
+
 def _check_declared(proc: SurfaceProcess, declared: frozenset[Name]) -> None:
-    def walk(p: SurfaceProcess, bound: frozenset[Name]) -> None:
-        def need(n: Name) -> None:
-            if n not in bound and n not in declared:
-                span = p.span
-                line, col = (span.line, span.col) if span else (0, 0)
-                raise UndeclaredChannelError(n, line, col)
-
-        while isinstance(p, (Par, Choice)):  # the right spine of a chain, without recursion
-            walk(p.left, bound)
-            p = p.right
-        match p:
-            case Nil():
-                return
-            case Input(a, binders, body):
-                need(a)
-                walk(body, bound | {n for n, _ in binders})
-            case Output(a, args, body) | ReverseOutput(a, args, body):
-                need(a)
-                for x in args:
-                    need(x)
-                walk(body, bound)
-            case Restrict(x, _, body):
-                walk(body, bound | {x})
-            case Replicate(body):
-                walk(body, bound)
-
-    walk(proc, frozenset())
+    for name, prefix in free_occurrences(proc):
+        if name not in declared:
+            span = prefix.span
+            line, col = (span.line, span.col) if span else (0, 0)
+            raise UndeclaredChannelError(name, line, col)
 
 
 def parse(text: str, source: Optional[str] = None) -> Program:
@@ -397,12 +385,12 @@ def print_surface(p: SurfaceProcess) -> str:
     A binder whose text another name in its scope already renders, such as
     a renamed `x'1` next to a written `x'1`, prints with a bumped index.
     """
-    return _fmt(p, _PAR, _Env(p))
+    return _print(p)
 
 
 def print_cast(p: CastProcess) -> str:
     """Deterministic text for cast-calculus terms; `typeError` prints as such."""
-    return _fmt(p, _PAR, _Env(p))
+    return _print(p)
 
 
 class _Env:
@@ -458,52 +446,60 @@ class _Env:
                 table[key] = old
 
 
-def _fmt(p: Process, want: int, env: _Env) -> str:
-    s, level = _raw(p, env)
-    return f"({s})" if level < want else s
-
-
-def _raw(p: Process, env: _Env) -> tuple[str, int]:
-    match p:
-        case Nil() | CNil():
-            return "0", _PREFIX
-        case CTypeError():
-            return "typeError", _PREFIX
-        case Input(a, binders, body) | CInput(a, binders, body):
-            subject = env.show(a) if isinstance(p, Input) else _cast_chain(env.show(a.base), a.casts)
-            binder_list, undo = env.bind(binders)
-            text = f"{subject}?({binder_list}).{_fmt(body, _PREFIX, env)}"
-            env.unbind(undo)
-            return text, _PREFIX
-        case Output(a, args, body) | ReverseOutput(a, args, body):
-            inner = ", ".join(env.show(x) for x in args)
-            bang = "!" if isinstance(p, Output) else "!!"
-            return f"{env.show(a)}{bang}<{inner}>.{_fmt(body, _PREFIX, env)}", _PREFIX
-        case COutput(c, args, body):
-            inner = ", ".join(_cast_chain(env.show(x.base), x.casts) for x in args)
-            return f"{_cast_chain(env.show(c.base), c.casts)}!<{inner}>.{_fmt(body, _PREFIX, env)}", _PREFIX
-        case Par() | CPar():
-            parts = []
-            while isinstance(p, (Par, CPar)):  # the right spine, iteratively
-                parts.append(_fmt(p.left, _CHOICE, env))
-                p = p.right
-            parts.append(_fmt(p, _PAR, env))
-            return " | ".join(parts), _PAR
-        case Choice() | CChoice():
-            parts = []
-            while isinstance(p, (Choice, CChoice)):
-                parts.append(_fmt(p.left, _PREFIX, env))
-                p = p.right
-            parts.append(_fmt(p, _CHOICE, env))
-            return " + ".join(parts), _CHOICE
-        case Restrict(x, t, body) | CRestrict(x, t, body):
-            binder, undo = env.bind(((x, t),))
-            text = f"new ({binder}) {_fmt(body, _PREFIX, env)}"
-            env.unbind(undo)
-            return text, _PREFIX
-        case Replicate(body) | CReplicate(body):
-            inner = _fmt(body, _PREFIX, env)
-            if isinstance(body, (Replicate, CReplicate)):
-                inner = f"({inner})"
-            return f"!{inner}", _PREFIX
-    raise TypeError(f"not a process: {p!r}")
+def _print(root: Process) -> str:
+    """The text of ``root``, from an explicit stack of terms (each with the
+    loosest operator it may show unparenthesised), literal pieces and scope
+    exits, joined once."""
+    env = _Env(root)
+    out: list[str] = []
+    stack: list = [(root, _PAR)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item) is list:  # the undo log of a scope that ends here
+            env.unbind(item)
+            continue
+        p, want = item
+        level = _PAR if isinstance(p, (Par, CPar)) else _CHOICE if isinstance(p, (Choice, CChoice)) else _PREFIX
+        if level < want:
+            out.append("(")
+            stack.append(")")
+        match p:
+            case Nil() | CNil():
+                out.append("0")
+            case CTypeError():
+                out.append("typeError")
+            case Input(a, binders, body) | CInput(a, binders, body):
+                subject = env.show(a) if isinstance(p, Input) else _cast_chain(env.show(a.base), a.casts)
+                binder_list, undo = env.bind(binders)
+                out.append(f"{subject}?({binder_list}).")
+                stack += (undo, (body, _PREFIX))
+            case Output(a, args, body) | ReverseOutput(a, args, body):
+                inner = ", ".join(env.show(x) for x in args)
+                bang = "!" if isinstance(p, Output) else "!!"
+                out.append(f"{env.show(a)}{bang}<{inner}>.")
+                stack.append((body, _PREFIX))
+            case COutput(c, args, body):
+                inner = ", ".join(_cast_chain(env.show(x.base), x.casts) for x in args)
+                out.append(f"{_cast_chain(env.show(c.base), c.casts)}!<{inner}>.")
+                stack.append((body, _PREFIX))
+            case Par(l, r) | CPar(l, r):
+                stack += ((r, _PAR), " | ", (l, _CHOICE))
+            case Choice(l, r) | CChoice(l, r):
+                stack += ((r, _CHOICE), " + ", (l, _PREFIX))
+            case Restrict(x, t, body) | CRestrict(x, t, body):
+                binder, undo = env.bind(((x, t),))
+                out.append(f"new ({binder}) ")
+                stack += (undo, (body, _PREFIX))
+            case Replicate(body) | CReplicate(body):
+                if isinstance(body, (Replicate, CReplicate)):
+                    out.append("!(")
+                    stack += (")", (body, _PREFIX))
+                else:
+                    out.append("!")
+                    stack.append((body, _PREFIX))
+            case _:
+                raise TypeError(f"not a process: {p!r}")
+    return "".join(out)

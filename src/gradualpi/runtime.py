@@ -46,7 +46,7 @@ from .syntax import (
     Type,
     canonical,
     free_names,
-    free_occurrence_order,
+    free_occurrences,
     fresh_name,
     substitute,
 )
@@ -143,15 +143,14 @@ def _flatten_into(
     avoid: set[Name],
     halts: list[Halt],
 ) -> None:
-    # Loops down the right spine of a `|` chain and through restrictions,
-    # so only left operands recurse.
-    while True:
+    stack = [term]
+    while stack:
+        term = stack.pop()
         match term:
             case CNil():
-                return
+                pass
             case CPar(l, r):
-                _flatten_into(l, restrictions, threads, avoid, halts)
-                term = r
+                stack += (r, l)
             case CRestrict(x, t, body):
                 if x in avoid:
                     renamed = fresh_name(x, avoid)
@@ -159,14 +158,12 @@ def _flatten_into(
                     x = renamed
                 avoid.add(x)
                 restrictions.append((x, t))
-                term = body
+                stack.append(body)
             case CTypeError():
                 halts.append(Halt(Status.TYPE_ERROR))
                 threads.append(term)
-                return
             case _:
                 threads.append(term)
-                return
 
 
 def normalize(proc: CastProcess, protected: frozenset[Name] = frozenset()) -> Configuration:
@@ -176,11 +173,14 @@ def normalize(proc: CastProcess, protected: frozenset[Name] = frozenset()) -> Co
 
 def _extrudes(term: CastProcess) -> bool:
     """Whether flattening ``term`` hoists a restriction."""
-    while isinstance(term, CPar):
-        if _extrudes(term.left):
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, CRestrict):
             return True
-        term = term.right
-    return isinstance(term, CRestrict)
+        if isinstance(term, CPar):
+            stack += (term.left, term.right)
+    return False
 
 
 def _rebuild(
@@ -316,23 +316,17 @@ def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
 
 def _heads(term: CastProcess, acc: set[tuple[str, Name, int]]) -> None:
     """Input/output prefixes reachable without consuming any prefix."""
-    # Loops down the right spine of a `|`/`+` chain and into bodies, so only
-    # left operands recurse.
-    while True:
-        match term:
+    stack = [term]
+    while stack:
+        match stack.pop():
             case CInput(c, binders, _):
                 acc.add(("in", c.base, len(binders)))
-                return
             case COutput(c, args, _):
                 acc.add(("out", c.base, len(args)))
-                return
             case CPar(l, r) | CChoice(l, r):
-                _heads(l, acc)
-                term = r
+                stack += (l, r)
             case CRestrict(_, _, body) | CReplicate(body):
-                term = body
-            case _:
-                return
+                stack.append(body)
 
 
 class _HeadPool:
@@ -549,7 +543,7 @@ def configuration_key(cfg: Configuration) -> Hashable:
         masked = [print_cast(canonical(substitute(t, mask))) for t in cfg.threads]
         order = sorted(range(len(cfg.threads)), key=lambda k: (masked[k], print_cast(cfg.threads[k])))
         for k in order:
-            for name in free_occurrence_order(cfg.threads[k]):
+            for name, _ in free_occurrences(cfg.threads[k]):
                 if name in mask and name not in rename:
                     rename[name] = CastChannel(Name("#r", len(rename)))
     threads = _multiset(canonical(substitute(t, rename) if rename else t) for t in cfg.threads)

@@ -12,8 +12,10 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
 class Capability(enum.Enum):
@@ -274,36 +276,79 @@ Process = Union[SurfaceProcess, CastProcess]
 
 
 # --------------------------------------------------------------------------
-# Free names
+# Traversals
 # --------------------------------------------------------------------------
+
+
+def fold(p: Process, ctx, visit: Callable):
+    """Rebuild a term bottom-up with an explicit stack instead of recursion.
+
+    ``visit(node, ctx)`` is called on every node in pre-order (a left
+    operand's whole subtree before the right operand) and returns
+    ``(build, children)``: ``children`` are ``(child, child_ctx)`` pairs,
+    and once their results are built, ``build(*results)`` is the node's
+    result.  A node with no children returns its result in place of
+    ``build``.
+    """
+    done: list = []  # results of finished subtrees, in order
+    stack: list = [(visit, p, ctx)]  # (visit, node, ctx) to enter; (build, arity, None) to build
+    while stack:
+        call, node, arg = stack.pop()
+        if call is not visit:
+            if node == 1:
+                done[-1] = call(done[-1])
+            else:
+                results = done[-node:]
+                del done[-node:]
+                done.append(call(*results))
+            continue
+        build, children = visit(node, arg)
+        if not children:
+            done.append(build)
+            continue
+        stack.append((build, len(children), None))
+        for child, child_ctx in reversed(children):
+            stack.append((visit, child, child_ctx))
+    return done[0]
+
+
+def free_occurrences(p: Process) -> Iterator[tuple[Name, Process]]:
+    """Each free name occurrence with the prefix it occurs in, in traversal
+    order (subject, then arguments, then the body; left operand first)."""
+    stack: list[tuple[Process, frozenset[Name]]] = [(p, frozenset())]
+    while stack:
+        p, bound = stack.pop()
+        match p:
+            case Nil() | CNil() | CTypeError():
+                pass
+            case Input(a, binders, body) | CInput(a, binders, body):
+                a = a.base if isinstance(p, CInput) else a
+                if a not in bound:
+                    yield a, p
+                stack.append((body, bound | {n for n, _ in binders} if binders else bound))
+            case Output(a, args, body) | ReverseOutput(a, args, body):
+                for n in (a, *args):
+                    if n not in bound:
+                        yield n, p
+                stack.append((body, bound))
+            case COutput(c, args, body):
+                for n in (c.base, *(x.base for x in args)):
+                    if n not in bound:
+                        yield n, p
+                stack.append((body, bound))
+            case Par(l, r) | Choice(l, r) | CPar(l, r) | CChoice(l, r):
+                stack += ((r, bound), (l, bound))
+            case Restrict(x, _, body) | CRestrict(x, _, body):
+                stack.append((body, bound | {x}))
+            case Replicate(body) | CReplicate(body):
+                stack.append((body, bound))
+            case _:
+                raise TypeError(f"not a process: {p!r}")
 
 
 def free_names(p: Process) -> frozenset[Name]:
     """Names with at least one occurrence not bound by an input or restriction."""
-    if isinstance(p, (Par, Choice, CPar, CChoice)):
-        names: set[Name] = set()
-        while isinstance(p, (Par, Choice, CPar, CChoice)):  # the right spine, without recursion
-            names |= free_names(p.left)
-            p = p.right
-        return frozenset(names | free_names(p))
-    match p:
-        case Nil() | CNil() | CTypeError():
-            return frozenset()
-        case Input(a, binders, body):
-            bound = frozenset(n for n, _ in binders)
-            return frozenset((a,)) | (free_names(body) - bound)
-        case CInput(c, binders, body):
-            bound = frozenset(n for n, _ in binders)
-            return frozenset((c.base,)) | (free_names(body) - bound)
-        case Output(a, args, body) | ReverseOutput(a, args, body):
-            return frozenset((a, *args)) | free_names(body)
-        case COutput(c, args, body):
-            return frozenset((c.base, *(a.base for a in args))) | free_names(body)
-        case Restrict(x, _, body) | CRestrict(x, _, body):
-            return free_names(body) - frozenset((x,))
-        case Replicate(body) | CReplicate(body):
-            return free_names(body)
-    raise TypeError(f"not a process: {p!r}")
+    return frozenset(n for n, _ in free_occurrences(p))
 
 
 # --------------------------------------------------------------------------
@@ -319,9 +364,7 @@ def substitute(p: CastProcess, mapping: Mapping[Name, CastChannel]) -> CastProce
     Binders that would capture a free name of a replacement are renamed by
     bumping their index.
     """
-    if not mapping:
-        return p
-    return _subst(p, dict(mapping))
+    return fold(p, dict(mapping), _subst)
 
 
 def _subst_chan(c: CastChannel, mapping: dict[Name, CastChannel]) -> CastChannel:
@@ -336,6 +379,8 @@ def _subst_binders(
     body: CastProcess,
     mapping: dict[Name, CastChannel],
 ) -> tuple[tuple[tuple[Name, Type], ...], CastProcess, dict[Name, CastChannel]]:
+    """The binders, renamed where they would capture a replacement, the body
+    with those renamings applied, and the mapping that applies under them."""
     names = [n for n, _ in binders]
     inner = {k: v for k, v in mapping.items() if k not in names}
     if not inner:
@@ -352,37 +397,32 @@ def _subst_binders(
                 | {m for m, _ in out}
             )
             fresh = fresh_name(n, avoid)
-            body = _subst(body, {n: CastChannel(fresh)})
+            body = substitute(body, {n: CastChannel(fresh)})
             out.append((fresh, t))
         else:
             out.append((n, t))
     return tuple(out), body, inner
 
 
-def _subst(p: CastProcess, mapping: dict[Name, CastChannel]) -> CastProcess:
+def _subst(p: CastProcess, mapping: dict[Name, CastChannel]):
+    if not mapping:
+        return p, ()
     match p:
         case CNil() | CTypeError():
-            return p
+            return p, ()
         case COutput(c, args, body):
-            return COutput(
-                _subst_chan(c, mapping),
-                tuple(_subst_chan(a, mapping) for a in args),
-                _subst(body, mapping),
-            )
+            subject = _subst_chan(c, mapping)
+            return partial(COutput, subject, tuple(_subst_chan(a, mapping) for a in args)), ((body, mapping),)
         case CInput(c, binders, body):
             binders2, body2, inner = _subst_binders(binders, body, mapping)
-            body3 = _subst(body2, inner) if inner else body2
-            return CInput(_subst_chan(c, mapping), binders2, body3)
+            return partial(CInput, _subst_chan(c, mapping), binders2), ((body2, inner),)
         case CRestrict(x, t, body):
             binders2, body2, inner = _subst_binders(((x, t),), body, mapping)
-            body3 = _subst(body2, inner) if inner else body2
-            return CRestrict(binders2[0][0], t, body3)
-        case CPar(l, r):
-            return CPar(_subst(l, mapping), _subst(r, mapping))
-        case CChoice(l, r):
-            return CChoice(_subst(l, mapping), _subst(r, mapping))
+            return partial(CRestrict, binders2[0][0], t), ((body2, inner),)
+        case CPar(l, r) | CChoice(l, r):
+            return type(p), ((l, mapping), (r, mapping))
         case CReplicate(body):
-            return CReplicate(_subst(body, mapping))
+            return CReplicate, ((body, mapping),)
     raise TypeError(f"not a cast process: {p!r}")
 
 
@@ -398,7 +438,41 @@ def canonical(p: Process) -> Process:
 
     Two processes are alpha-equivalent iff their canonical forms are equal.
     """
-    return _canon(p, {}, [0])
+    counter = itertools.count()
+
+    def name(x, env: dict[Name, Name]):
+        if isinstance(x, CastChannel):
+            return CastChannel(env.get(x.base, x.base), x.casts)
+        return env.get(x, x)
+
+    def bind(binders, env: dict[Name, Name]):
+        out = []
+        for n, t in binders:
+            fresh = Name(_CANON_BASE, next(counter))
+            env = {**env, n: fresh}
+            out.append((fresh, t))
+        return tuple(out), env
+
+    def visit(p: Process, env: dict[Name, Name]):
+        match p:
+            case Nil() | CNil() | CTypeError():
+                return p, ()  # no names; equality ignores the span
+            case Input(a, binders, body) | CInput(a, binders, body):
+                subject = name(a, env)
+                binders, env = bind(binders, env)
+                return partial(type(p), subject, binders), ((body, env),)
+            case Output(a, args, body) | ReverseOutput(a, args, body) | COutput(a, args, body):
+                return partial(type(p), name(a, env), tuple(name(x, env) for x in args)), ((body, env),)
+            case Par(l, r) | CPar(l, r) | Choice(l, r) | CChoice(l, r):
+                return type(p), ((l, env), (r, env))
+            case Restrict(x, t, body) | CRestrict(x, t, body):
+                binders, env = bind(((x, t),), env)
+                return partial(type(p), binders[0][0], t), ((body, env),)
+            case Replicate(body) | CReplicate(body):
+                return type(p), ((body, env),)
+        raise TypeError(f"not a process: {p!r}")
+
+    return fold(p, {}, visit)
 
 
 def alpha_equal(p: Process, q: Process) -> bool:
@@ -407,97 +481,3 @@ def alpha_equal(p: Process, q: Process) -> bool:
     Cast stacks and type annotations compare syntactically.
     """
     return canonical(p) == canonical(q)
-
-
-def _canon_name(n: Name, env: dict[Name, Name]) -> Name:
-    return env.get(n, n)
-
-
-def _canon_bind(n: Name, env: dict[Name, Name], counter: list[int]) -> tuple[Name, dict[Name, Name]]:
-    fresh = Name(_CANON_BASE, counter[0])
-    counter[0] += 1
-    return fresh, {**env, n: fresh}
-
-
-def _canon(p: Process, env: dict[Name, Name], counter: list[int]) -> Process:
-    match p:
-        case Nil() | CNil() | CTypeError():
-            return p  # no names; equality ignores the span
-        case Input(a, binders, body):
-            subject = _canon_name(a, env)
-            out = []
-            for n, t in binders:
-                fresh, env = _canon_bind(n, env, counter)
-                out.append((fresh, t))
-            return Input(subject, tuple(out), _canon(body, env, counter))
-        case CInput(c, binders, body):
-            subject = CastChannel(_canon_name(c.base, env), c.casts)
-            out = []
-            for n, t in binders:
-                fresh, env = _canon_bind(n, env, counter)
-                out.append((fresh, t))
-            return CInput(subject, tuple(out), _canon(body, env, counter))
-        case Output(a, args, body):
-            return Output(
-                _canon_name(a, env),
-                tuple(_canon_name(x, env) for x in args),
-                _canon(body, env, counter),
-            )
-        case ReverseOutput(a, args, body):
-            return ReverseOutput(
-                _canon_name(a, env),
-                tuple(_canon_name(x, env) for x in args),
-                _canon(body, env, counter),
-            )
-        case COutput(c, args, body):
-            return COutput(
-                CastChannel(_canon_name(c.base, env), c.casts),
-                tuple(CastChannel(_canon_name(a.base, env), a.casts) for a in args),
-                _canon(body, env, counter),
-            )
-        case Par(l, r):
-            return Par(_canon(l, env, counter), _canon(r, env, counter))
-        case CPar(l, r):
-            return CPar(_canon(l, env, counter), _canon(r, env, counter))
-        case Choice(l, r):
-            return Choice(_canon(l, env, counter), _canon(r, env, counter))
-        case CChoice(l, r):
-            return CChoice(_canon(l, env, counter), _canon(r, env, counter))
-        case Restrict(x, t, body):
-            fresh, env = _canon_bind(x, env, counter)
-            return Restrict(fresh, t, _canon(body, env, counter))
-        case CRestrict(x, t, body):
-            fresh, env = _canon_bind(x, env, counter)
-            return CRestrict(fresh, t, _canon(body, env, counter))
-        case Replicate(body):
-            return Replicate(_canon(body, env, counter))
-        case CReplicate(body):
-            return CReplicate(_canon(body, env, counter))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def free_occurrence_order(p: CastProcess) -> Iterator[Name]:
-    """Free name occurrences in traversal order (with repeats)."""
-
-    def walk(term: CastProcess, bound: frozenset[Name]) -> Iterator[Name]:
-        match term:
-            case CNil() | CTypeError():
-                return
-            case CInput(c, binders, body):
-                if c.base not in bound:
-                    yield c.base
-                yield from walk(body, bound | {n for n, _ in binders})
-            case COutput(c, args, body):
-                for n in (c.base, *(a.base for a in args)):
-                    if n not in bound:
-                        yield n
-                yield from walk(body, bound)
-            case CPar(l, r) | CChoice(l, r):
-                yield from walk(l, bound)
-                yield from walk(r, bound)
-            case CRestrict(x, _, body):
-                yield from walk(body, bound | {x})
-            case CReplicate(body):
-                yield from walk(body, bound)
-
-    return walk(p, frozenset())

@@ -123,42 +123,45 @@ def _lookup(env: TypeEnv, name: Name, span: Optional[Span], diags: list[TypeDiag
         return None
 
 
-def _check(env, p, relate, diags, log) -> None:
-    while isinstance(p, (Par, Choice)):  # the right spine of a chain, without recursion
-        _check(env, p.left, relate, diags, log)
-        p = p.right
-    match p:
-        case Nil():
-            return
-        case Restrict(x, t, body):
-            _check(env.extend([(x, t)]), body, relate, diags, log)
-        case Replicate(body):
-            _check(env, body, relate, diags, log)
-        case Input(a, binders, body):
-            want = ChanType(Capability.IN, tuple(t for _, t in binders))
-            got = _lookup(env, a, p.span, diags)
-            if got is not None:
-                holds = relate(got, want)
-                log.append(ConsistencyCheck("t-in", a, got, want, holds, p.span))
-                if not holds:
-                    diags.append(TypeDiagnostic("t-in", p.span, a, want, got))
-            _check(env.extend(binders), body, relate, diags, log)
-        case Output(a, args, body) | ReverseOutput(a, args, body):
-            arg_types: list[Type] = []
-            complete = True
-            for x in args:
-                ty = _lookup(env, x, p.span, diags)
-                if ty is None:
-                    complete = False
-                else:
-                    arg_types.append(ty)
-            got = _lookup(env, a, p.span, diags)
-            if got is not None and complete:
-                want = ChanType(Capability.OUT, tuple(arg_types))
-                holds = relate(got, want)
-                log.append(ConsistencyCheck("t-out", a, got, want, holds, p.span))
-                if not holds:
-                    diags.append(TypeDiagnostic("t-out", p.span, a, want, got))
-            _check(env, body, relate, diags, log)
-        case _:
-            raise TypeError(f"not a surface process: {p!r}")
+def _check(env, proc, relate, diags, log) -> None:
+    """Judge every node in pre-order (left operand first), from a stack."""
+    stack = [(env, proc)]
+    while stack:
+        env, p = stack.pop()
+        match p:
+            case Nil():
+                pass
+            case Par(l, r) | Choice(l, r):
+                stack += ((env, r), (env, l))
+            case Restrict(x, t, body):
+                stack.append((env.extend([(x, t)]), body))
+            case Replicate(body):
+                stack.append((env, body))
+            case Input(a, binders, body):
+                want = ChanType(Capability.IN, tuple(t for _, t in binders))
+                got = _lookup(env, a, p.span, diags)
+                if got is not None:
+                    holds = relate(got, want)
+                    log.append(ConsistencyCheck("t-in", a, got, want, holds, p.span))
+                    if not holds:
+                        diags.append(TypeDiagnostic("t-in", p.span, a, want, got))
+                stack.append((env.extend(binders), body))
+            case Output(a, args, body) | ReverseOutput(a, args, body):
+                arg_types: list[Type] = []
+                complete = True
+                for x in args:
+                    ty = _lookup(env, x, p.span, diags)
+                    if ty is None:
+                        complete = False
+                    else:
+                        arg_types.append(ty)
+                got = _lookup(env, a, p.span, diags)
+                if got is not None and complete:
+                    want = ChanType(Capability.OUT, tuple(arg_types))
+                    holds = relate(got, want)
+                    log.append(ConsistencyCheck("t-out", a, got, want, holds, p.span))
+                    if not holds:
+                        diags.append(TypeDiagnostic("t-out", p.span, a, want, got))
+                stack.append((env, body))
+            case _:
+                raise TypeError(f"not a surface process: {p!r}")

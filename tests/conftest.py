@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import functools
+import random
 from pathlib import Path
 
 import pytest
 
 from gradualpi.castinsert import insert_casts
 from gradualpi.parser import Program, parse
-from gradualpi.runtime import Configuration, normalize
+from gradualpi.runtime import Configuration, enumerate_redexes, normalize, step
 from gradualpi.syntax import CPar, CastProcess, free_names
 from gradualpi.typecheck import check
 
@@ -46,6 +47,22 @@ def compile_corpus(*names: str) -> Configuration:
         compiled.append(proc)
         protected |= free_names(proc) | {n for n, _ in program.env.bindings}
     return normalize(functools.reduce(CPar, compiled), frozenset(protected))
+
+
+def corpus_run_threads(seeds: int = 3, steps: int = 60) -> list[CastProcess]:
+    """Every thread of the states of seeded runs over the runnable corpus."""
+    threads = []
+    for names in RUNNABLE_CORPUS:
+        cfg0 = compile_corpus(*names)
+        for seed in range(seeds):
+            pick, cfg = random.Random(seed), cfg0
+            for index in range(steps):
+                threads.extend(cfg.threads)
+                redexes = enumerate_redexes(cfg)
+                if not redexes:
+                    break
+                cfg, _ = step(cfg, redexes[pick.randrange(len(redexes))], index)
+    return threads
 
 
 def golden(name: str) -> str:

@@ -7,7 +7,10 @@ is what the printers must produce whenever no two names render alike.  The
 printed state key and the all-pairs redex enumeration are the runtime's
 earlier, slower implementations, kept as references for the structural key
 and the single-pass enumerator.  The character-loop lexer is the parser's
-earlier lexer, kept as the reference for the single-regex one.  The
+earlier lexer, kept as the reference for the single-regex one, and the
+recursive-descent process parser is the parser's earlier one, kept as the
+reference for the explicit-stack one.  The recursive free-name scans are
+the reference for the explicit-stack ``free_occurrences``.  The
 reference explorer is the runtime's earlier exhaustive search, which keys
 every successor it builds, kept as the reference for the move-table search.
 """
@@ -16,10 +19,19 @@ from __future__ import annotations
 
 import string
 from collections import deque
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Optional
 
-from gradualpi.parser import GpiSyntaxError, format_channel, print_cast
+from gradualpi.parser import (
+    DuplicateDeclarationError,
+    GpiSyntaxError,
+    Program,
+    UndeclaredChannelError,
+    _lex,
+    _Parser,
+    format_channel,
+    print_cast,
+)
 from gradualpi.runtime import (
     _STATUS_ORDER,
     Configuration,
@@ -54,10 +66,62 @@ from gradualpi.syntax import (
     Replicate,
     Restrict,
     ReverseOutput,
+    Span,
+    SurfaceProcess,
+    Type,
+    TypeEnv,
     canonical,
-    free_occurrence_order,
     substitute,
 )
+
+
+def free_names(p: Process) -> frozenset[Name]:
+    """Names with at least one occurrence not bound by an input or restriction."""
+    match p:
+        case Nil() | CNil() | CTypeError():
+            return frozenset()
+        case Input(a, binders, body):
+            return frozenset((a,)) | (free_names(body) - frozenset(n for n, _ in binders))
+        case CInput(c, binders, body):
+            return frozenset((c.base,)) | (free_names(body) - frozenset(n for n, _ in binders))
+        case Output(a, args, body) | ReverseOutput(a, args, body):
+            return frozenset((a, *args)) | free_names(body)
+        case COutput(c, args, body):
+            return frozenset((c.base, *(a.base for a in args))) | free_names(body)
+        case Par(l, r) | Choice(l, r) | CPar(l, r) | CChoice(l, r):
+            return free_names(l) | free_names(r)
+        case Restrict(x, _, body) | CRestrict(x, _, body):
+            return free_names(body) - frozenset((x,))
+        case Replicate(body) | CReplicate(body):
+            return free_names(body)
+    raise TypeError(f"not a process: {p!r}")
+
+
+def free_occurrence_order(p: CastProcess) -> Iterator[Name]:
+    """Free name occurrences in traversal order (with repeats)."""
+
+    def walk(term: CastProcess, bound: frozenset[Name]) -> Iterator[Name]:
+        match term:
+            case CNil() | CTypeError():
+                return
+            case CInput(c, binders, body):
+                if c.base not in bound:
+                    yield c.base
+                yield from walk(body, bound | {n for n, _ in binders})
+            case COutput(c, args, body):
+                for n in (c.base, *(a.base for a in args)):
+                    if n not in bound:
+                        yield n
+                yield from walk(body, bound)
+            case CPar(l, r) | CChoice(l, r):
+                yield from walk(l, bound)
+                yield from walk(r, bound)
+            case CRestrict(x, _, body):
+                yield from walk(body, bound | {x})
+            case CReplicate(body):
+                yield from walk(body, bound)
+
+    return walk(p, frozenset())
 
 
 def _idx(name: Name, env: tuple[Name, ...]):
@@ -336,3 +400,154 @@ def reference_lex(text: str) -> list[_Token]:
         raise GpiSyntaxError(f"unexpected character {c!r}", line, col)
     tokens.append(_Token("eof", "", line, col))
     return tokens
+
+
+class _ReferenceParser(_Parser):
+    """The process grammar by recursive descent: one call per prefix and
+    per chain operand."""
+
+    def parse_process(self) -> SurfaceProcess:
+        return self.parse_chain("|", Par, self.parse_choice)
+
+    def parse_choice(self) -> SurfaceProcess:
+        return self.parse_chain("+", Choice, self.parse_prefix)
+
+    def parse_chain(self, op: str, node, parse_operand) -> SurfaceProcess:
+        starts = [self.peek()]
+        operands = [parse_operand()]
+        while self.peek().kind == op:
+            self.next()
+            starts.append(self.peek())
+            operands.append(parse_operand())
+        proc = operands.pop()
+        while operands:
+            proc = node(operands.pop(), proc, self._span(starts[len(operands)]))
+        return proc
+
+    def parse_prefix(self) -> SurfaceProcess:
+        tok = self.peek()
+        if tok.kind == "0":
+            self.next()
+            return Nil(Span(tok.line, tok.col, tok.line, tok.end_col))
+        if tok.kind == "!":
+            self.next()
+            body = self.parse_prefix()
+            return Replicate(body, self._span(tok))
+        if tok.kind == "!!":
+            self.next()
+            body = self.parse_prefix()
+            inner = Replicate(body, self._span(tok))
+            return Replicate(inner, self._span(tok))
+        if tok.kind == "new":
+            self.next()
+            self.expect("(")
+            name_tok = self.expect("ident")
+            self.expect(":")
+            ty = self.parse_type()
+            self.expect(")")
+            body = self.parse_prefix()
+            return Restrict(Name(name_tok.text), ty, body, self._span(tok))
+        if tok.kind == "(":
+            self.next()
+            inner = self.parse_process()
+            close = self.expect(")")
+            return replace(inner, span=Span(tok.line, tok.col, close.line, close.end_col))
+        if tok.kind == "ident":
+            return self.parse_prefixed(tok)
+        self.fail(("0", "!", "new", "(", "channel name"))
+        raise AssertionError
+
+    def parse_prefixed(self, start) -> SurfaceProcess:
+        subject = Name(self.next().text)
+        tok = self.peek()
+        if tok.kind == "?":
+            self.next()
+            self.expect("(")
+            binders: list[tuple[Name, Type]] = []
+            seen: set[Name] = set()
+            if self.peek().kind != ")":
+                binders.append(self.parse_binder(seen))
+                while self.peek().kind == ",":
+                    self.next()
+                    binders.append(self.parse_binder(seen))
+            close = self.expect(")")
+            body = self.parse_continuation(close)
+            return Input(subject, tuple(binders), body, self._span(start))
+        if tok.kind in ("!", "!!"):
+            self.next()
+            self.expect("<")
+            args: list[Name] = []
+            if self.peek().kind != ">":
+                args.append(Name(self.expect("ident").text))
+                while self.peek().kind == ",":
+                    self.next()
+                    args.append(Name(self.expect("ident").text))
+            close = self.expect(">")
+            body = self.parse_continuation(close)
+            node = Output if tok.kind == "!" else ReverseOutput
+            return node(subject, tuple(args), body, self._span(start))
+        self.fail(("?", "!", "!!"))
+        raise AssertionError
+
+    def parse_continuation(self, close) -> SurfaceProcess:
+        if self.peek().kind == ".":
+            self.next()
+            return self.parse_prefix()
+        return Nil(Span(close.line, close.end_col, close.line, close.end_col))
+
+    def _span(self, start) -> Span:
+        prev = self.tokens[self.pos - 1]
+        return Span(start.line, start.col, prev.line, prev.end_col)
+
+    def parse_program(self, source: Optional[str]) -> Program:
+        decls: list[tuple[Name, Type]] = []
+        declared: set[Name] = set()
+        while self.peek().kind == "chan":
+            self.next()
+            tok = self.expect("ident")
+            name = Name(tok.text)
+            if name in declared:
+                raise DuplicateDeclarationError(name, tok.line, tok.col)
+            declared.add(name)
+            self.expect(":")
+            ty = self.parse_type()
+            self.expect(";")
+            decls.append((name, ty))
+        self.expect("run")
+        proc = self.parse_process()
+        self.expect("eof")
+        _reference_check_declared(proc, frozenset(declared))
+        return Program(TypeEnv(tuple(decls)), proc, source)
+
+
+def _reference_check_declared(proc: SurfaceProcess, declared: frozenset[Name]) -> None:
+    def walk(p: SurfaceProcess, bound: frozenset[Name]) -> None:
+        def need(n: Name) -> None:
+            if n not in bound and n not in declared:
+                span = p.span
+                line, col = (span.line, span.col) if span else (0, 0)
+                raise UndeclaredChannelError(n, line, col)
+
+        match p:
+            case Par(l, r) | Choice(l, r):
+                walk(l, bound)
+                walk(r, bound)
+            case Input(a, binders, body):
+                need(a)
+                walk(body, bound | {n for n, _ in binders})
+            case Output(a, args, body) | ReverseOutput(a, args, body):
+                need(a)
+                for x in args:
+                    need(x)
+                walk(body, bound)
+            case Restrict(x, _, body):
+                walk(body, bound | {x})
+            case Replicate(body):
+                walk(body, bound)
+
+    walk(proc, frozenset())
+
+
+def reference_parse(text: str, source: Optional[str] = None) -> Program:
+    """``parse`` by recursive descent, with the recursive declared-name check."""
+    return _ReferenceParser(_lex(text)).parse_program(source)

@@ -289,18 +289,43 @@ def test_prompts_go_to_stderr_trace_to_stdout(capsys):
     assert out.startswith("#0 [choice: right]")
 
 
-def test_deep_prefix_chain_is_internal_error_exit_seventy(capsys, tmp_path):
-    chain = tmp_path / "chain.gpi"
-    chain.write_text("chan a : o();\nrun " + "a!<>." * 2000 + "0\n", encoding="utf-8")
+def _nested_par(k: int) -> str:
+    """The printed form of `k` `|` nodes nested to the left."""
+    return "(" * (k - 1) + "a!<>.0 | a!<>.0" + ") | a!<>.0" * (k - 1)
+
+
+def test_ten_thousand_deep_or_wide_terms_pass_every_command(capsys, tmp_path):
+    # Far past Python's recursion limit: every walk keeps its own stack.
+    n = 10_000
+    compiled = {
+        "a!<>." * n + "0": "a!<>." * n + "0",
+        " | ".join(["a!<>"] * n): " | ".join(["a!<>.0"] * n),
+        " + ".join(["a!<>"] * n): " + ".join(["a!<>.0"] * n),
+        "(" * n + "a!<>" + ")" * n: "a!<>.0",
+        "(" * (n - 1) + "a!<>" + " | a!<>)" * (n - 1): _nested_par(n - 1),
+    }
+    path = tmp_path / "big.gpi"
+    for proc, text in compiled.items():
+        path.write_text(f"chan a : o();\nrun {proc}\n", encoding="utf-8")
+        assert run_cli(capsys, "check", str(path)) == (0, "ok\n", "")
+        assert run_cli(capsys, "compile", str(path)) == (0, text + "\n", "")
+        seeded = run_cli(capsys, "run", str(path), "--mode", "seeded", "--max-steps", "3")
+        assert seeded == (0, "HALT: normal-stuck\n", "")
+
+
+def test_recursion_error_is_internal_error_exit_seventy(capsys, monkeypatch):
+    def too_deep(env, proc):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "check", too_deep)
     for command in ("check", "run"):
-        code, _, err = run_cli(capsys, command, str(chain))
-        assert code == 70
-        assert err.startswith("gradualpi: internal error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+        code, out, err = run_cli(capsys, command, corpus("client.gpi"))
+        assert (code, out) == (70, "")
+        assert err == "gradualpi: internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_wide_composition_compiles(capsys, tmp_path):
-    # Wider than the recursion limit: every walk loops down a chain's right spine.
+    # Wider than the recursion limit.
     for op in ("|", "+"):
         wide = tmp_path / "wide.gpi"
         wide.write_text("chan a : o();\nrun " + f" {op} ".join(["a!<>"] * 2000) + "\n", encoding="utf-8")
@@ -313,7 +338,7 @@ def test_wide_composition_compiles(capsys, tmp_path):
 
 
 def test_replicated_wide_composition_runs_seeded(capsys, tmp_path):
-    # The replica's heads are collected down the right spine of its `|` chain.
+    # The replica's heads are collected from the whole of its `|` chain.
     wide = tmp_path / "wide.gpi"
     wide.write_text("chan a : dyn;\nrun !(" + " | ".join(["a!<>"] * 2000) + ") | a?().0\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "run", str(wide), "--mode", "seeded", "--max-steps", "50")

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import CORPUS, RUNNABLE_CORPUS, compile_corpus, load
+from conftest import CORPUS, corpus_run_threads, load
 from gen import random_program, random_surface
-from oracles import reference_lex, reference_print, renders_injectively
+from hypothesis import given, settings, strategies as st
+from oracles import reference_lex, reference_parse, reference_print, renders_injectively
 from gradualpi.castinsert import insert_casts
 from gradualpi.parser import (
     DuplicateDeclarationError,
@@ -36,10 +37,10 @@ from gradualpi.syntax import (
     Restrict,
     ReverseOutput,
     Span,
+    TypeEnv,
     alpha_equal,
     free_names,
 )
-from gradualpi.runtime import enumerate_redexes, step
 from gradualpi.typecheck import check
 
 T = ChanType(Capability.OUT, ())
@@ -156,7 +157,8 @@ _SOUP_LEXES = (
 _SOUP = _SOUP_LEXES + ("-", "0x", "0'", "00", "'", "1", "7", "9", "é", "λ")
 
 
-def test_lexer_matches_the_reference_lexer():
+def _texts() -> list[str]:
+    """The corpus, 300 printed random programs and terms, and 3,000 token soups."""
     texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.gpi"))]
     rng = random.Random(43)
     for k in range(300):
@@ -169,12 +171,78 @@ def test_lexer_matches_the_reference_lexer():
     for k in range(3000):
         pieces = _SOUP if k % 2 else _SOUP_LEXES
         texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(0, 30))))
+    return texts
+
+
+def test_lexer_matches_the_reference_lexer():
+    texts = _texts()
     errors = 0
     for text in texts:
         got = _tokens_or_error(_lex, text)
         assert got == _tokens_or_error(reference_lex, text), repr(text)
         errors += isinstance(got, tuple)
     assert 1000 <= errors <= len(texts) - 1000, errors  # both outcomes are well represented
+
+
+def _spans(p) -> list[Span]:
+    """Every node's span in pre-order; spans take no part in equality."""
+    spans, stack = [], [p]
+    while stack:
+        p = stack.pop()
+        spans.append(p.span)
+        stack += [getattr(p, attr) for attr in ("right", "left", "body") if hasattr(p, attr)]
+    return spans
+
+
+def _parsed_or_error(parser, text: str):
+    try:
+        program = parser(text)
+    except GpiParseError as exc:
+        return type(exc), exc.message, exc.line, exc.col, exc.expected
+    return program.env, program.proc, _spans(program.proc)
+
+
+def _declared(proc) -> str:
+    """A program text that declares every free name of ``proc``."""
+    names = sorted({str(n) for n in free_names(proc)})
+    return "".join(f"chan {n} : dyn;\n" for n in names) + f"run {print_surface(proc)}\n"
+
+
+def test_parser_matches_the_reference_parser():
+    rng = random.Random(53)
+    texts = [variant for text in _texts() for variant in (text, f"run {text}")]
+    texts += [_declared(random_surface(rng, 8)) for _ in range(300)]
+    # undeclared names inside parentheses and deep inside chains
+    deep = "a?(x:dyn)." * 60
+    texts += [
+        "chan a : dyn; run (a!<> | (b!<>))",
+        "chan a : dyn; run ((a!<>.0 + a?(x:dyn).(x!<b>)) | a!<>)",
+        f"chan a : dyn; run {deep}x!<>.(a!<x> | {deep}(a!<> + y!<x>))",
+        f"chan a : dyn; run !({deep}0) | new (y:dyn) {deep}(a!<y>.z?().0)",
+        f"chan a : dyn; run {'(' * 50}a!<> | {deep}b!<>{')' * 50}",
+    ]
+    outcomes = {"parsed": 0, "undeclared": 0, "syntax": 0}
+    for text in texts:
+        got = _parsed_or_error(parse, text)
+        assert got == _parsed_or_error(reference_parse, text), repr(text)
+        if isinstance(got[0], TypeEnv):
+            outcomes["parsed"] += 1
+        else:
+            outcomes["undeclared" if got[0] is UndeclaredChannelError else "syntax"] += 1
+    assert min(outcomes.values()) >= 100, outcomes  # every outcome is well represented
+
+
+_FUZZ_PIECES = st.sampled_from(_SOUP) | st.integers(1, 3000).map(lambda k: "(" * k)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(("", "run ", "chan a : dyn;\nrun ")), st.lists(_FUZZ_PIECES, max_size=40))
+def test_parse_of_token_soup_returns_or_raises_a_parse_error(head, pieces):
+    text = head + "".join(pieces)
+    try:
+        parse(text)
+    except GpiParseError as exc:
+        assert exc.line >= 1 and exc.col >= 1
 
 
 def test_eof_after_a_final_comment_sits_at_the_comment():
@@ -220,17 +288,7 @@ def test_printers_match_the_reference_wherever_names_render_injectively():
     surface = [random_surface(rng, 6) for _ in range(300)]
     programs = [load(path.name) for path in sorted(CORPUS.glob("*.gpi"))]
     compiled = [insert_casts(p.env, p.proc).proc for p in programs if check(p.env, p.proc).ok]
-    threads = []
-    for names in RUNNABLE_CORPUS:
-        cfg0 = compile_corpus(*names)
-        for seed in range(3):
-            pick, cfg = random.Random(seed), cfg0
-            for index in range(60):
-                threads.extend(cfg.threads)
-                redexes = enumerate_redexes(cfg)
-                if not redexes:
-                    break
-                cfg, _ = step(cfg, redexes[pick.randrange(len(redexes))], index)
+    threads = corpus_run_threads()
     for printer, terms, least in (
         (print_surface, surface + [p.proc for p in programs], 300),
         (print_cast, compiled, len(programs) // 2),

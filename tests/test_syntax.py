@@ -5,6 +5,8 @@ import random
 import pytest
 
 from gen import random_surface, random_type
+import oracles
+from conftest import corpus_run_threads
 from oracles import all_names, oracle_alpha_equal
 from gradualpi.syntax import (
     Capability,
@@ -32,6 +34,7 @@ from gradualpi.syntax import (
     alpha_equal,
     canonical,
     free_names,
+    free_occurrences,
     fresh_name,
     substitute,
 )
@@ -106,6 +109,32 @@ def test_free_names_matches_naive_walker():
     for _ in range(200):
         proc = random_surface(rng)
         assert set(free_names(proc)) == _naive_free(proc)
+
+
+def _prefix_names(p) -> set[Name]:
+    match p:
+        case Input(a, _, _):
+            return {a}
+        case CInput(c, _, _):
+            return {c.base}
+        case Output(a, args, _) | ReverseOutput(a, args, _):
+            return {a, *args}
+        case COutput(c, args, _):
+            return {c.base, *(x.base for x in args)}
+    raise TypeError(p)
+
+
+def test_free_occurrences_match_the_recursive_scans():
+    rng = random.Random(47)
+    surface = [random_surface(rng, 8) for _ in range(300)]
+    cast = [_to_cast(p) for p in surface] + corpus_run_threads()
+    for term in surface + cast:
+        occurrences = list(free_occurrences(term))
+        assert free_names(term) == oracles.free_names(term)
+        assert {n for n, _ in occurrences} == free_names(term)
+        assert all(n in _prefix_names(prefix) for n, prefix in occurrences)
+    for term in cast:
+        assert [n for n, _ in free_occurrences(term)] == list(oracles.free_occurrence_order(term))
 
 
 # --------------------------------------------------------------------------
