@@ -28,6 +28,7 @@ from .runtime import (
     Exhaustive,
     InteractiveAbort,
     Interactive,
+    Outcome,
     Redex,
     Seeded,
     Status,
@@ -35,7 +36,7 @@ from .runtime import (
     normalize,
     run,
 )
-from .syntax import CPar, CastProcess, free_names
+from .syntax import CPar, CastProcess
 from .typecheck import check, check_static
 
 EXIT_OK = 0
@@ -187,10 +188,8 @@ def cmd_run(args) -> int:
             return EXIT_REJECTED
         compiled.append(insert_casts(program.env, program.proc).proc)
     composed = functools.reduce(CPar, compiled)
-    protected = frozenset().union(
-        *(free_names(proc) for proc in compiled),
-        *(dict(program.env.bindings) for program in programs),
-    )
+    # The parser rejects undeclared names, so the declarations cover every free name.
+    protected = frozenset(name for program in programs for name, _ in program.env.bindings)
     cfg = normalize(composed, protected)
 
     if args.mode == "exhaustive":
@@ -217,10 +216,9 @@ def cmd_run(args) -> int:
         report = run(cfg, Seeded(args.seed, args.max_steps))
 
     outcome = report.outcomes[0]
-    lines = format_trace(outcome)
-    if not args.trace:
-        lines = lines[-1:]
-    for line in lines:
+    if not args.trace:  # the HALT line alone: no step is rendered
+        outcome = Outcome(outcome.status, outcome.halt, ())
+    for line in format_trace(outcome):
         print(line)
     return _STATUS_EXIT[outcome.status]
 

@@ -72,7 +72,7 @@ class InteractiveAbort(Exception):
 class Halt:
     status: Status
     failing: Optional[CastChannel] = None
-    rule: Optional[str] = None
+    rule: Optional[str] = None  # the failing cast rule: "c-out-fail" | "c-in-fail"
 
     def describe(self) -> str:
         if self.status is Status.TYPE_ERROR and self.failing is not None:
@@ -105,15 +105,20 @@ class Redex:
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One step: the participants before it and what replaced them after it,
+    each side in thread order.  The terms are rendered only by ``format``."""
+
     index: int
     rule: str  # "comm" | "c-solve" | "choice" | "replicate"
     detail: tuple[str, ...]
-    before: str
-    after: str
+    before: tuple[CastProcess, ...]
+    after: tuple[CastProcess, ...]
 
     def format(self) -> str:
         label = self.rule if not self.detail else f"{self.rule}: {', '.join(self.detail)}"
-        return f"#{self.index} [{label}] {self.before} --> {self.after}"
+        before = " | ".join(map(print_cast, self.before))
+        after = " | ".join(map(print_cast, self.after))
+        return f"#{self.index} [{label}] {before} --> {after}"
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,15 @@ def _flatten_into(
     term: CastProcess,
     restrictions: list[tuple[Name, Type]],
     threads: list[CastProcess],
-    avoid: set[Name],
+    in_use: Callable[[], set[Name]],
     halts: list[Halt],
 ) -> None:
+    """Flatten ``term`` onto ``threads``, hoisting its restrictions.
+
+    ``in_use`` gives the names a hoisted restriction must avoid; it is
+    called only when a restriction is hoisted, and the set it returns
+    grows with each hoisted name.
+    """
     stack = [term]
     while stack:
         term = stack.pop()
@@ -152,6 +163,7 @@ def _flatten_into(
             case CPar(l, r):
                 stack += (r, l)
             case CRestrict(x, t, body):
+                avoid = in_use()
                 if x in avoid:
                     renamed = fresh_name(x, avoid)
                     body = substitute(body, {x: CastChannel(renamed)})
@@ -171,18 +183,6 @@ def normalize(proc: CastProcess, protected: frozenset[Name] = frozenset()) -> Co
     return _rebuild(Configuration((), (proc,), None, frozenset(protected)), {0: (proc,)})
 
 
-def _extrudes(term: CastProcess) -> bool:
-    """Whether flattening ``term`` hoists a restriction."""
-    stack = [term]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, CRestrict):
-            return True
-        if isinstance(term, CPar):
-            stack += (term.left, term.right)
-    return False
-
-
 def _rebuild(
     cfg: Configuration,
     replacements: Mapping[int, Sequence[CastProcess]],
@@ -193,25 +193,29 @@ def _rebuild(
     Every other thread is kept as the same object, in the same relative
     order (the explorer's thread ids rely on it).
     """
-    # Freshening consults the names in use only when a restriction is
-    # hoisted, so the (linear) scan for them is skipped otherwise.
-    avoid: set[Name] = set()
-    if any(_extrudes(item) for items in replacements.values() for item in items):
-        avoid.update(cfg.protected)
-        avoid.update(name for name, _ in cfg.restrictions)
-        for i, thread in enumerate(cfg.threads):
-            if i not in replacements:
-                avoid |= free_names(thread)
-        for items in replacements.values():
-            for item in items:
-                avoid |= free_names(item)
+    avoid: Optional[set[Name]] = None
+
+    def in_use() -> set[Name]:
+        # The (linear) scan for the names in use runs on the first hoist only.
+        nonlocal avoid
+        if avoid is None:
+            avoid = set(cfg.protected)
+            avoid.update(name for name, _ in cfg.restrictions)
+            for i, thread in enumerate(cfg.threads):
+                if i not in replacements:
+                    avoid |= free_names(thread)
+            for items in replacements.values():
+                for item in items:
+                    avoid |= free_names(item)
+        return avoid
+
     restrictions = list(cfg.restrictions)
     threads: list[CastProcess] = []
     halts: list[Halt] = []
     for i, thread in enumerate(cfg.threads):
         if i in replacements:
             for item in replacements[i]:
-                _flatten_into(item, restrictions, threads, avoid, halts)
+                _flatten_into(item, restrictions, threads, in_use, halts)
         else:
             threads.append(thread)
     final = halted or cfg.halted or (halts[0] if halts else None)
@@ -365,12 +369,6 @@ def _unfold_useful(thread: CReplicate, pool: _HeadPool) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CastFailure:
-    failing: CastChannel
-    rule: str  # "c-out-fail" | "c-in-fail"
-
-
 def _strip_casts(
     subject: CastChannel, cap: Capability, args: Sequence[CastChannel], binders: Optional[Sequence] = None
 ):
@@ -382,7 +380,7 @@ def _strip_casts(
     frame's target argument type back to its source argument type).  An
     input's ``binders`` must be annotated with each frame's target and are
     re-annotated with its source.  Returns the bare subject, arguments and
-    binders (or the failure), plus the rules applied, in order.
+    binders (or the type-error ``Halt``), plus the rules applied, in order.
     """
     side = "out" if cap is Capability.OUT else "in"
     applied: list[str] = []
@@ -405,7 +403,7 @@ def _strip_casts(
             continue
         if source.cap is not cap:
             applied.append(f"c-{side}-fail")
-            return CastFailure(subject, f"c-{side}-fail"), tuple(applied)
+            return Halt(Status.TYPE_ERROR, subject, applied[-1]), tuple(applied)
         if len(source.args) != len(target.args) or len(target.args) != len(args):
             what = "the output arguments" if binders is None else "the communication"
             raise MalformedCastError(f"cast frame arity does not match {what}: {format_channel(subject)}")
@@ -419,11 +417,11 @@ def _strip_casts(
 
 def resolve_output_casts(
     out: COutput,
-) -> tuple[Union[COutput, CastFailure], tuple[str, ...]]:
+) -> tuple[Union[COutput, Halt], tuple[str, ...]]:
     """Strip the output subject's casts, distributing them to the arguments
-    (rules ``c-out-*``); returns the bare-subject output or the failure."""
+    (rules ``c-out-*``); returns the bare-subject output or the type error."""
     result, applied = _strip_casts(out.subject, Capability.OUT, out.args)
-    if isinstance(result, CastFailure):
+    if isinstance(result, Halt):
         return result, applied
     subject, args, _ = result
     return COutput(subject, tuple(args), out.body), applied
@@ -431,13 +429,13 @@ def resolve_output_casts(
 
 def resolve_input_casts(
     inp: CInput, out: COutput
-) -> tuple[Union[tuple[CInput, COutput], CastFailure], tuple[str, ...]]:
+) -> tuple[Union[tuple[CInput, COutput], Halt], tuple[str, ...]]:
     """Strip the input subject's casts against a bare-subject output partner
-    (rules ``c-in-*``); returns the resolved pair or the failure."""
+    (rules ``c-in-*``); returns the resolved pair or the type error."""
     if not out.subject.is_bare:
         raise MalformedCastError("input casts are resolved against a bare-subject output")
     result, applied = _strip_casts(inp.subject, Capability.IN, out.args, inp.binders)
-    if isinstance(result, CastFailure):
+    if isinstance(result, Halt):
         return result, applied
     subject, args, binders = result
     return (CInput(subject, tuple(binders), inp.body), COutput(out.subject, tuple(args), out.body)), applied
@@ -472,13 +470,12 @@ def _reduce(
             results = {i: [substitute(inp.body, mapping)], j: [out.body]}
             return _rebuild(cfg, results), "comm", (), results
         result, applied = resolve_output_casts(out)
-        if not isinstance(result, CastFailure):
+        if not isinstance(result, Halt):
             result, in_applied = resolve_input_casts(inp, result)
             applied += in_applied
-        if isinstance(result, CastFailure):
-            halt = Halt(Status.TYPE_ERROR, result.failing, result.rule)
+        if isinstance(result, Halt):
             results = {i: [CTypeError()], j: []}
-            return _rebuild(cfg, results, halted=halt), "c-solve", applied, results
+            return _rebuild(cfg, results, halted=result), "c-solve", applied, results
         inp2, out2 = result
         results = {i: [inp2], j: [out2]}
         return _rebuild(cfg, results), "c-solve", applied, results
@@ -504,15 +501,11 @@ def _reduce(
 
 
 def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuration, TraceEvent]:
-    """Apply one redex; returns the new configuration and its trace event.
-
-    The event shows the participants before the step and what replaced
-    them after it, each side in thread order and joined by `` | ``.
-    """
+    """Apply one redex; returns the new configuration and its trace event."""
     cfg2, rule, detail, results = _reduce(cfg, redex)
     order = sorted(redex.participants)
-    before = " | ".join(print_cast(cfg.threads[k]) for k in order)
-    after = " | ".join(print_cast(p) for k in order for p in results[k])
+    before = tuple(cfg.threads[k] for k in order)
+    after = tuple(p for k in order for p in results[k])
     return cfg2, TraceEvent(index, rule, detail, before, after)
 
 
@@ -586,31 +579,32 @@ def run(cfg: Configuration, scheduler: Scheduler) -> RunReport:
     if isinstance(scheduler, Seeded):
         rng = random.Random(scheduler.seed)
         pick = lambda _cfg, plan: plan.redex(rng.randrange(len(plan)))
-        return RunReport((_run_sequential(cfg, redex_plan, pick, scheduler.max_steps),))
+        return RunReport((_run_sequential(cfg, pick, scheduler.max_steps),))
     if isinstance(scheduler, Interactive):
 
-        def pick(cfg: Configuration, redexes: tuple[Redex, ...]) -> Optional[Redex]:
+        def pick(cfg: Configuration, plan: RedexPlan) -> Optional[Redex]:
+            redexes = plan.redexes()
             choice = scheduler.choose(cfg, redexes)
             return None if choice is None else redexes[choice]
 
-        return RunReport((_run_sequential(cfg, enumerate_redexes, pick, scheduler.max_steps),))
+        return RunReport((_run_sequential(cfg, pick, scheduler.max_steps),))
     if isinstance(scheduler, Exhaustive):
         return _run_exhaustive(cfg, scheduler.depth)
     raise TypeError(f"unknown scheduler: {scheduler!r}")
 
 
-def _run_sequential(cfg: Configuration, offer, pick, max_steps: int) -> Outcome:
-    """One path: ``offer`` sizes the enabled redexes, ``pick`` takes one of them."""
+def _run_sequential(cfg: Configuration, pick, max_steps: int) -> Outcome:
+    """One path: ``pick`` takes one redex of each state's ``redex_plan``."""
     events: list[TraceEvent] = []
     while True:
         if cfg.halted is not None:
             return Outcome(cfg.halted.status, cfg.halted, tuple(events))
-        offered = offer(cfg)
-        if not offered:
+        plan = redex_plan(cfg)
+        if not plan:
             return Outcome(Status.NORMAL_STUCK, Halt(Status.NORMAL_STUCK), tuple(events))
         if len(events) >= max_steps:
             return Outcome(Status.MAX_STEPS, Halt(Status.MAX_STEPS), tuple(events))
-        redex = pick(cfg, offered)
+        redex = pick(cfg, plan)
         if redex is None:
             raise InteractiveAbort()
         cfg, event = step(cfg, redex, len(events))
@@ -656,7 +650,7 @@ def _learn_move(
     for k in redex.participants:
         threads: list[CastProcess] = []
         for item in results[k]:
-            _flatten_into(item, [], threads, set(), [])
+            _flatten_into(item, [], threads, set, [])  # no restriction to hoist
         replaced.append(tuple(_intern(thread, table) for thread in threads))
     return succ, (tuple(replaced), succ.halted.status if succ.halted else None)
 

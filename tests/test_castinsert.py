@@ -129,6 +129,8 @@ def test_nil_compiles_to_nil_with_no_sites():
 def test_insert_casts_requires_checked_input():
     with pytest.raises(ValueError):
         insert_casts(TypeEnv(), Output(Name("ghost"), (), Nil()))
+    with pytest.raises(ValueError):
+        insert_casts(TypeEnv(((Name("a"), DYN),)), Output(Name("a"), (Name("ghost"),), Nil()))
 
 
 # --------------------------------------------------------------------------
@@ -159,8 +161,10 @@ def _lower_reverse(p):
 
 def test_erasure_restores_the_surface_process():
     rng = random.Random(67)
-    for _ in range(80):
-        for env, proc in random_party_set(rng, allow_dyn=True):
+    agency = load("agency.gpi")  # has `new`; the random parties carry none
+    party_sets = [[(agency.env, agency.proc)]] + [random_party_set(rng, allow_dyn=True) for _ in range(80)]
+    for party_set in party_sets:
+        for env, proc in party_set:
             if not check(env, proc).ok:
                 continue
             out = insert_casts(env, proc)

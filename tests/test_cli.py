@@ -207,6 +207,19 @@ def test_run_exhaustive_dyn_race_golden(capsys):
     assert out == golden("exhaustive_dyn_race.txt")
 
 
+def test_untraced_run_renders_no_step(capsys, monkeypatch):
+    import gradualpi.runtime as runtime
+
+    printed = []
+    print_cast = runtime.print_cast
+    monkeypatch.setattr(runtime, "print_cast", lambda p: printed.append(p) or print_cast(p))
+    code, out, _ = run_cli(capsys, "run", corpus("dyn_server.gpi"), "--seed", "3")
+    assert (code, out, len(printed)) == (0, "HALT: normal-stuck\n", 0)
+    code, out, _ = run_cli(capsys, "run", corpus("dyn_server.gpi"), "--seed", "3", "--trace")
+    assert (code, out) == (0, golden("run_dyn_server_seed3.txt"))
+    assert printed
+
+
 def test_run_seeded_byte_identical(capsys):
     args = ("run", corpus("client.gpi"), corpus("agency.gpi"), "--seed", "3", "--trace")
     code1, out1, _ = run_cli(capsys, *args)
@@ -263,6 +276,13 @@ def test_run_exhaustive_depth_exceeded_exit_five(capsys):
     assert code == 5
     assert "depth-exceeded" in out.splitlines()[0]
     assert "HALT: depth-exceeded" in out
+
+
+def test_run_exhaustive_type_error_exit_two(capsys):
+    parties = (corpus("client.gpi"), corpus("misuse_agency.gpi"), corpus("stray_payer.gpi"))
+    code, out, _ = run_cli(capsys, "run", *parties, "--mode", "exhaustive", "--depth", "12")
+    assert code == 2
+    assert out.splitlines()[0] == "TERMINALS: normal-stuck type-error"
 
 
 def test_invalid_utf8_is_a_parse_error(capsys, tmp_path):

@@ -8,7 +8,6 @@ from conftest import RUNNABLE_CORPUS, compile_corpus
 from gen import random_subject_chain, random_type
 from gradualpi.parser import parse, print_cast
 from gradualpi.runtime import (
-    CastFailure,
     Configuration,
     Exhaustive,
     Halt,
@@ -174,7 +173,7 @@ def test_resolve_output_expand_then_succeed_twice():
 def test_resolve_output_fail_on_input_capability():
     out = COutput(CastChannel(a, ((iT, oT),)), (bare(m),), CNil())
     failure, applied = resolve_output_casts(out)
-    assert isinstance(failure, CastFailure)
+    assert isinstance(failure, Halt)
     assert failure.rule == "c-out-fail"
     assert applied[-1] == "c-out-fail"
 
@@ -277,7 +276,7 @@ def test_resolve_input_fail_on_output_capability():
     inp = CInput(CastChannel(a, ((oT, iT),)), ((s, T),), CNil())
     out = COutput(bare(a), (bare(m),), CNil())
     failure, applied = resolve_input_casts(inp, out)
-    assert isinstance(failure, CastFailure)
+    assert isinstance(failure, Halt)
     assert failure.rule == "c-in-fail"
 
 
@@ -295,7 +294,7 @@ def test_resolve_totality_within_two_steps_per_frame():
         out = COutput(chan, tuple(bare(Name(f"a{k}")) for k in range(arity)), CNil())
         result, applied = resolve_output_casts(out)
         assert len(applied) <= 2 * len(chan.casts)
-        assert isinstance(result, CastFailure) or result.subject.is_bare
+        assert isinstance(result, Halt) or result.subject.is_bare
     for _ in range(300):
         chan, arity = random_subject_chain(rng, Capability.IN, rng.randint(0, 5))
         top_args = chan.casts[-1][1].args if chan.casts else tuple(random_type(rng, 1) for _ in range(arity))
@@ -304,7 +303,7 @@ def test_resolve_totality_within_two_steps_per_frame():
         out = COutput(bare(z), tuple(bare(Name(f"a{k}")) for k in range(len(binders))), CNil())
         result, applied = resolve_input_casts(inp, out)
         assert len(applied) <= 2 * len(chan.casts)
-        assert isinstance(result, CastFailure) or result[0].subject.is_bare
+        assert isinstance(result, Halt) or result[0].subject.is_bare
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def test_c_solve_failure_halts_globally():
     assert cfg2.halted is not None
     assert cfg2.halted.status is Status.TYPE_ERROR
     assert cfg2.halted.rule == "c-in-fail"
-    assert event.after == "typeError"
+    assert event.after == (CTypeError(),)
     assert enumerate_redexes(cfg2) == ()
 
 

@@ -132,6 +132,11 @@ def test_unbound_names_are_hard_errors():
     proc = Output(Name("ghost"), (), Nil())
     result = check(TypeEnv(), proc)
     assert [d.rule for d in result.diagnostics] == ["env-lookup"]
+    # A bound subject with an unbound argument: no check is logged.
+    proc = Output(Name("a"), (Name("ghost"),), Nil())
+    result = check(TypeEnv(((Name("a"), DYN),)), proc)
+    assert [d.rule for d in result.diagnostics] == ["env-lookup"]
+    assert result.checks == ()
 
 
 def test_diagnostics_accumulate_across_branches_in_span_order():
