@@ -5,7 +5,8 @@ Exit codes: 0 success or normal-stuck run, 1 type-check rejection,
 interactive session), 5 step or depth budget exceeded, 70 internal error
 (a broken run-time invariant such as a malformed cast, a channel type
 nested deeper than the recursion limit or an exhaustive run over a term
-that deep, or any other unexpected exception).
+that deep, or any other unexpected exception), 141 stdout closed early
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE killed).
 
 `run` accepts several files: each is checked and compiled under its own
 declarations, then the compiled processes execute in parallel.  This is
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -46,6 +48,7 @@ EXIT_PARSE_ERROR = 3
 EXIT_USAGE = 4
 EXIT_EXCEEDED = 5
 EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 _STATUS_EXIT = {
     Status.NORMAL_STUCK: EXIT_OK,
@@ -227,11 +230,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "compile":
-            return cmd_compile(args)
-        return cmd_run(args)
+        command = {"check": cmd_check, "compile": cmd_compile, "run": cmd_run}[args.command]
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Later flushes, at exit too, write to the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"gradualpi: {exc}", file=sys.stderr)
         return EXIT_USAGE

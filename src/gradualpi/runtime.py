@@ -24,7 +24,7 @@ import enum
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence, Union
 
 from .parser import format_channel, print_cast
 from .syntax import (
@@ -514,37 +514,71 @@ def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuratio
 # --------------------------------------------------------------------------
 
 
-def _multiset(items: Iterable[Hashable]) -> frozenset[tuple[Hashable, int]]:
-    return frozenset(Counter(items).items())
+class IdTable:
+    """One search's ids for canonical thread forms, numbered by arrival.
 
-
-def configuration_key(cfg: Configuration) -> Hashable:
-    """A hashable key equal only for alpha-equivalent configurations.
-
-    Restricted names are renamed canonically (ordered by first use over a
-    deterministic thread ordering), bound names canonically per thread, and
-    the canonical threads form a multiset.  Ties in the ordering can split
-    alpha-equivalent states into distinct keys, which merely weakens
-    deduplication, never corrupts it.
+    Each thread asked for is also mapped to its form's id, so no thread is
+    put in canonical form twice.  A form's text and free names are computed
+    the first time a key of a restricted state needs them.
     """
-    halted = cfg.halted.status if cfg.halted else None
-    rename: dict[Name, CastChannel] = {}
-    if cfg.restrictions:
-        # The thread ordering compares printed forms, so that this key
-        # induces exactly the partition of the printed key it replaced.
-        mask = {name: CastChannel(Name("#r")) for name, _ in cfg.restrictions}
-        masked = [print_cast(canonical(substitute(t, mask))) for t in cfg.threads]
-        order = sorted(range(len(cfg.threads)), key=lambda k: (masked[k], print_cast(cfg.threads[k])))
-        for k in order:
-            for name, _ in free_occurrences(cfg.threads[k]):
-                if name in mask and name not in rename:
-                    rename[name] = CastChannel(Name("#r", len(rename)))
-    threads = _multiset(canonical(substitute(t, rename) if rename else t) for t in cfg.threads)
-    if not cfg.restrictions:
-        return threads, halted
-    used = frozenset((rename[name].base.index, t) for name, t in cfg.restrictions if name in rename)
-    unused = _multiset(t for name, t in cfg.restrictions if name not in rename)
-    return threads, halted, used, unused
+
+    def __init__(self) -> None:
+        self._ids: dict[CastProcess, int] = {}
+        self._forms: list[CastProcess] = []
+        self._info: dict[int, tuple[str, tuple[Name, ...]]] = {}
+        self._renamed: dict[tuple[int, tuple[Optional[int], ...]], int] = {}
+
+    def intern(self, thread: CastProcess, form: Optional[CastProcess] = None) -> int:
+        """The id of ``thread``'s canonical form, which is ``form`` when given."""
+        found = self._ids.get(thread)
+        if found is None:
+            form = canonical(thread) if form is None else form
+            found = self._ids[thread] = self._ids.setdefault(form, len(self._forms))
+            if found == len(self._forms):
+                self._forms.append(form)
+        return found
+
+    def info(self, i: int) -> tuple[str, tuple[Name, ...]]:
+        """Form ``i``'s printed text and its free names in first-use order."""
+        if i not in self._info:
+            form = self._forms[i]
+            self._info[i] = print_cast(form), tuple(dict.fromkeys(name for name, _ in free_occurrences(form)))
+        return self._info[i]
+
+    def renamed(self, i: int, numbers: Mapping[Name, int]) -> int:
+        """The id of form ``i`` with each name in ``numbers`` replaced by ``#r``
+        with its number.  Bound names are ``#b``s, so nothing is captured and
+        the result is in canonical form."""
+        free = self.info(i)[1]
+        key = (i, tuple(numbers.get(name) for name in free))
+        if key not in self._renamed:
+            mapping = {name: CastChannel(Name("#r", k)) for name, k in zip(free, key[1]) if k is not None}
+            form = substitute(self._forms[i], mapping)
+            self._renamed[key] = self.intern(form, form) if mapping else i
+        return self._renamed[key]
+
+
+def configuration_key(ids: IdTable, thread_ids: Sequence[int], status: Optional[Status], restrictions) -> Hashable:
+    """A key equal only for alpha-equivalent states, from their threads' ids.
+
+    Without restrictions it is the sorted ids and the halt status.  Otherwise
+    restricted names are numbered by first use over the threads ordered by
+    text with restricted names masked (all numbered 0), then by text; ties
+    can split alpha-equivalent states, which weakens deduplication but never
+    corrupts it.  The key holds the renamed threads' ids and the types.
+    """
+    if not restrictions:
+        return tuple(sorted(thread_ids)), status
+    masked = dict.fromkeys((name for name, _ in restrictions), 0)
+    rename: dict[Name, int] = {}
+    for i in sorted(set(thread_ids), key=lambda i: (ids.info(ids.renamed(i, masked))[0], ids.info(i)[0])):
+        for name in ids.info(i)[1]:
+            if name in masked:
+                rename.setdefault(name, len(rename))
+    threads = tuple(sorted(ids.renamed(i, rename) for i in thread_ids))
+    used = frozenset((rename[name], t) for name, t in restrictions if name in rename)
+    unused = frozenset(Counter(t for name, t in restrictions if name not in rename).items())
+    return threads, status, used, unused
 
 
 # --------------------------------------------------------------------------
@@ -611,57 +645,22 @@ def _run_sequential(cfg: Configuration, pick, max_steps: int) -> Outcome:
         events.append(event)
 
 
-def _intern(thread: CastProcess, table: dict[CastProcess, int]) -> int:
-    """The id of ``thread``'s canonical form in ``table``, numbered by arrival.
-
-    The table also maps each thread it was asked for to that id, so no
-    thread form is put in canonical form twice.  A canonical form is its
-    own canonical form, so the two kinds of key never disagree.
-    """
-    found = table.get(thread)
-    if found is None:
-        found = table[thread] = table.setdefault(canonical(thread), len(table))
-    return found
-
-
-def _ids_key(ids: Iterable[int], status: Optional[Status]) -> Hashable:
-    """The key of an unrestricted state from its threads' interned ids.
-
-    Ids stand one-to-one for canonical forms, so sorted ids and the halt
-    status partition states exactly as ``configuration_key`` does.
-    """
-    return tuple(sorted(ids)), status
-
-
-def _learn_move(
-    cfg: Configuration, redex: Redex, table: dict[CastProcess, int]
-) -> tuple[Configuration, Optional[tuple[tuple[tuple[int, ...], ...], Optional[Status]]]]:
-    """Apply ``redex`` to an unrestricted ``cfg``.
-
-    Returns the successor and its move-table entry: the ids of the threads
-    that replaced each participant (flattened, in participant order) and
-    the successor's halt status, or ``None`` when the step hoists a
-    restriction.
+def _learn_move(cfg: Configuration, redex: Redex, table: IdTable) -> tuple[Configuration, tuple]:
+    """Apply ``redex`` to ``cfg``; returns the successor and its move: the
+    ids of the threads that replaced each participant (in participant order)
+    and the successor's halt status.  The threads are read from the
+    successor, where a restriction hoisted out of them may have been renamed.
     """
     succ, _, _, results = _reduce(cfg, redex)
-    if succ.restrictions:
-        return succ, None
-    replaced = []
-    for k in redex.participants:
-        threads: list[CastProcess] = []
+    spans, shift = {}, 0
+    for k in sorted(results):
+        flat: list[CastProcess] = []
         for item in results[k]:
-            _flatten_into(item, [], threads, set, [])  # no restriction to hoist
-        replaced.append(tuple(_intern(thread, table) for thread in threads))
-    return succ, (tuple(replaced), succ.halted.status if succ.halted else None)
-
-
-def _splice(ids: Sequence[int], participants: Sequence[int], replaced: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """``ids`` with each participant's id replaced, in place, by the ids of
-    the threads that replaced it."""
-    spliced = list(ids)
-    for k, new in sorted(zip(participants, replaced), reverse=True):
-        spliced[k : k + 1] = new
-    return tuple(spliced)
+            _flatten_into(item, [], flat, set, [])  # where it lands, not what it becomes
+        spans[k] = slice(k + shift, k + shift + len(flat))
+        shift += len(flat) - 1
+    replaced = tuple(tuple(map(table.intern, succ.threads[spans[k]])) for k in redex.participants)
+    return succ, (replaced, succ.halted.status if succ.halted else None)
 
 
 def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
@@ -672,28 +671,22 @@ def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
     redexes from ``cfg0``.  A state is dropped when its key was seen
     before: under FIFO order the first push of a key is at its least depth.
 
-    An unrestricted state carries its threads' canonical forms interned to
-    ids (one table per run).  A step that hoists no restriction replaces
-    each participant in place and keeps every other thread in order, and
-    what replaces a participant depends on the participants' alpha-classes
-    alone (a substitution, a cast resolution or its failure, a branch, a
-    replica's body).  So a move is looked up in a per-run table by its
-    participants' ids (and, for one thread, its kind), and the successor's
-    key is spliced from its parent's ids: a duplicate successor is
-    rejected before any configuration, redex or canonical term is built.
-    A move that hoists a restriction is recorded as such; its successor is
-    built and keyed by ``configuration_key``, as is every successor of a
-    restricted state, since a restriction is never dropped.
+    Every state carries its threads' canonical forms interned to ids (one
+    ``IdTable`` per run).  A step that hoists no restriction replaces each
+    participant in place, keeps the other threads in order and the
+    restrictions, and what replaces a participant depends on the
+    participants' alpha-classes alone.  So such a move is looked up in a
+    per-run table by its participants' ids (and, for one thread, its kind),
+    and the successor is keyed from ids spliced from its parent's: a
+    duplicate is dropped before any configuration or redex is built.  A
+    move that hoists a restriction is applied every time it is taken, since
+    the fresh name it picks depends on the whole state.
     """
     witnesses: dict[Status, tuple[Halt, Optional[tuple]]] = {}
-    table: dict[CastProcess, int] = {}
-    moves: dict[tuple[int, Union[int, str]], Optional[tuple]] = {}
-    if cfg0.restrictions:
-        ids0, key0 = None, configuration_key(cfg0)
-    else:
-        ids0 = tuple(_intern(thread, table) for thread in cfg0.threads)
-        key0 = _ids_key(ids0, cfg0.halted.status if cfg0.halted else None)
-    seen = {key0}
+    table = IdTable()
+    moves: dict[tuple[int, Union[int, str]], tuple] = {}
+    ids0 = tuple(map(table.intern, cfg0.threads))
+    seen = {configuration_key(table, ids0, cfg0.halted.status if cfg0.halted else None, cfg0.restrictions)}
     queue = deque([(cfg0, ids0, 0, None)])
     while queue:
         cfg, ids, d, path = queue.popleft()
@@ -708,25 +701,21 @@ def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
             witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), path))
             continue
         for i, option in plan.options():
-            redex = succ = succ_ids = move = None
-            if ids is not None:
-                # A pair's kind (comm or c-solve) follows from its threads.
-                signature = (ids[i], option if isinstance(option, str) else ids[option])
-                if signature in moves:
-                    move = moves[signature]
-                else:
-                    redex = plan.build(i, option)
-                    succ, move = _learn_move(cfg, redex, table)
-                    moves[signature] = move
-            if move is None:  # a restricted parent, or a move that hoists a restriction
-                if succ is None:
-                    redex = plan.build(i, option)
-                    succ = _reduce(cfg, redex)[0]
-                key = configuration_key(succ)
+            # A pair's kind (comm or c-solve) follows from its threads.
+            signature = (ids[i], option if isinstance(option, str) else ids[option])
+            redex = succ = None
+            if signature in moves:
+                move = moves[signature]
             else:
-                replaced, status = move
-                succ_ids = _splice(ids, (i,) if isinstance(option, str) else (i, option), replaced)
-                key = _ids_key(succ_ids, status)
+                redex = plan.build(i, option)
+                succ, move = _learn_move(cfg, redex, table)
+                if len(succ.restrictions) == len(cfg.restrictions):
+                    moves[signature] = move
+            spliced = list(ids)  # each participant's id replaced, in place, by the ids that replaced it
+            for k, new in sorted(zip((i,) if isinstance(option, str) else (i, option), move[0]), reverse=True):
+                spliced[k : k + 1] = new
+            succ_ids = tuple(spliced)
+            key = configuration_key(table, succ_ids, move[1], (cfg if succ is None else succ).restrictions)
             if key in seen:
                 continue
             seen.add(key)

@@ -8,7 +8,7 @@ import pytest
 
 from gradualpi.castinsert import insert_casts
 from gradualpi.parser import Program, parse
-from gradualpi.runtime import Configuration, enumerate_redexes, normalize, step
+from gradualpi.runtime import Configuration, IdTable, configuration_key, enumerate_redexes, normalize, step
 from gradualpi.syntax import CPar, CastProcess, free_names
 from gradualpi.typecheck import check
 
@@ -47,6 +47,12 @@ def compile_corpus(*names: str) -> Configuration:
         compiled.append(proc)
         protected |= free_names(proc) | {n for n, _ in program.env.bindings}
     return normalize(functools.reduce(CPar, compiled), frozenset(protected))
+
+
+def state_key(table: IdTable, cfg: Configuration):
+    """The explorer's key of `cfg`, its threads interned in `table` (one table per search)."""
+    status = cfg.halted.status if cfg.halted else None
+    return configuration_key(table, tuple(map(table.intern, cfg.threads)), status, cfg.restrictions)
 
 
 def corpus_run_threads(seeds: int = 3, steps: int = 60) -> list[CastProcess]:

@@ -2,7 +2,8 @@
 
 The de Bruijn converter turns a process into a nested-tuple form in which
 bound occurrences are indices; comparing those forms is an alternative
-route to alpha-equivalence.  The reference printer renames nothing, so it
+route to alpha-equivalence, of threads and, over every type-preserving
+bijection of restricted names, of whole states.  The reference printer renames nothing, so it
 is what the printers must produce whenever no two names render alike.  The
 printed state key and the all-pairs redex enumeration are the runtime's
 earlier, slower implementations, kept as references for the structural key
@@ -17,8 +18,9 @@ every successor it builds, kept as the reference for the move-table search.
 
 from __future__ import annotations
 
+import itertools
 import string
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional
 
@@ -42,7 +44,6 @@ from gradualpi.runtime import (
     Status,
     _reduce,
     _replay,
-    configuration_key,
     enumerate_redexes,
 )
 from gradualpi.syntax import (
@@ -168,6 +169,22 @@ def oracle_alpha_equal(p: Process, q: Process) -> bool:
     return debruijn(p) == debruijn(q)
 
 
+def alpha_equivalent_configurations(c1: Configuration, c2: Configuration) -> bool:
+    """Whether two states differ only in bound and restricted names: some
+    type-preserving bijection of their restricted names makes their halt
+    statuses and their multisets of de Bruijn threads equal (the restricted
+    names are the outermost binders, in the bijection's order)."""
+    if (c1.halted and c1.halted.status) != (c2.halted and c2.halted.status):
+        return False
+    names, types = tuple(n for n, _ in c2.restrictions), [t for _, t in c2.restrictions]
+    threads = Counter(debruijn(t, names) for t in c2.threads)
+    for order in itertools.permutations(c1.restrictions):
+        if [t for _, t in order] == types:
+            if Counter(debruijn(t, tuple(n for n, _ in order)) for t in c1.threads) == threads:
+                return True
+    return False
+
+
 def all_names(p: Process) -> set[Name]:
     """Every name in the term, free or bound."""
     match p:
@@ -244,10 +261,10 @@ def printed_configuration_key(cfg: Configuration) -> str:
 
 
 def _id_key(cfg: Configuration, ids: Optional[tuple[int, ...]]):
-    """The earlier ``configuration_key(cfg, ids)``: sorted ids when unrestricted."""
+    """The earlier explorer's key: sorted ids when unrestricted, else the printed key."""
     if ids is not None and not cfg.restrictions:
         return tuple(sorted(ids)), cfg.halted.status if cfg.halted else None
-    return configuration_key(cfg)
+    return printed_configuration_key(cfg)
 
 
 def _thread_ids(

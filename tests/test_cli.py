@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -379,3 +380,40 @@ def test_malformed_cast_is_internal_error_exit_seventy(capsys, monkeypatch):
         "gradualpi: internal error: MalformedCastError: "
         "output subject cast does not end in an output capability\n"
     )
+
+
+def _gradualpi(*argv: str, **kwargs) -> subprocess.Popen:
+    """A CLI process whose stdout is block-buffered, as it is in a shell pipeline."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, "-m", "gradualpi", *argv], stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # About 137 kB of trace, more than a pipe holds: the reader closes while
+    # the process is still writing.
+    wide = tmp_path / "wide.gpi"
+    wide.write_text("chan a : dyn;\nrun " + " | ".join(["a!<a>.0 | a?(x:dyn).0"] * 600) + "\n", encoding="utf-8")
+    proc = _gradualpi("run", str(wide), "--trace", "--max-steps", "2000", stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"#0 [c-solve")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    # A few lines, still buffered when the command returns (the flush at
+    # interpreter exit would fail): the read end is closed before the process starts.
+    read, write = os.pipe()
+    os.close(read)
+    proc = _gradualpi("compile", corpus("client.gpi"), stdout=write)
+    os.close(write)
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+
+
+def test_documented_exit_codes_are_the_exit_constants():
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    docstring = cli.__doc__.split("Exit codes:")[1].split("\n\n")[0]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Exit codes:")[1].split("\n\n")[0]
+    # A code opens the paragraph or follows a comma; numbers inside the parentheses are not codes.
+    assert {int(code) for code in re.findall(r"(?:^\s*|,\s+)(\d+)\s", re.sub(r"\([^()]*\)", "", docstring))} == codes
+    assert {int(code) for code in re.findall(r"`(\d+)`", paragraph)} == codes

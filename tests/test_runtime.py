@@ -4,18 +4,18 @@ import random
 
 import pytest
 
-from conftest import RUNNABLE_CORPUS, compile_corpus
+from conftest import RUNNABLE_CORPUS, compile_corpus, state_key
 from gen import random_subject_chain, random_type
 from gradualpi.parser import parse, print_cast
 from gradualpi.runtime import (
     Configuration,
     Exhaustive,
     Halt,
+    IdTable,
     MalformedCastError,
     Redex,
     Seeded,
     Status,
-    configuration_key,
     enumerate_redexes,
     format_trace,
     normalize,
@@ -455,9 +455,10 @@ def _dfs_terminals(cfg, depth: int, order_seed: int) -> set[str]:
     rng = random.Random(order_seed)
     best: dict[str, int] = {}
     terminals: set[str] = set()
+    table = IdTable()
 
     def go(state, budget):
-        key = configuration_key(state)
+        key = state_key(table, state)
         if best.get(key, -1) >= budget:
             return
         best[key] = budget

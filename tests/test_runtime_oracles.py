@@ -1,11 +1,12 @@
 """The runtime's state key, witness traces and redex order against oracles.
 
 The structural `configuration_key` must induce exactly the partition of
-states that the printed key induces, and so must the keys the explorer
-splices from interned thread ids.  The explorer's replayed witnesses must
-print exactly what an explorer rendering every step eagerly prints, and
-the explorer must queue exactly the states the reference explorer, which
-builds and keys every successor, queues.  The single-pass
+states that the printed key induces, both on states interned one by one
+and on the ids the explorer splices from a parent's.  The explorer's
+replayed witnesses must print exactly what an explorer rendering every
+step eagerly prints, and the explorer must queue exactly the states the
+reference explorer, which builds and keys every successor, queues (on
+`spell.gpi` it queues fewer, none of them alpha-equivalent).  The single-pass
 `enumerate_redexes` must return exactly the tuple of the all-pairs-then-sort
 reference, and `redex_plan` must count that tuple and build each of its
 positions alone.
@@ -15,18 +16,19 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import deque
+from collections import Counter, deque
 
-from conftest import RUNNABLE_CORPUS, compile_corpus
+from conftest import RUNNABLE_CORPUS, compile_corpus, state_key
 from gen import random_party_set
 import gradualpi.runtime as runtime
 from gradualpi.castinsert import insert_casts
 from gradualpi.runtime import (
+    Configuration,
     Exhaustive,
     Halt,
+    IdTable,
     Outcome,
     Status,
-    configuration_key,
     enumerate_redexes,
     format_trace,
     normalize,
@@ -34,9 +36,9 @@ from gradualpi.runtime import (
     run,
     step,
 )
-from gradualpi.syntax import DYN, CPar, CRestrict, free_names
+from gradualpi.syntax import DYN, CPar, CRestrict, Name, canonical, free_names
 from gradualpi.typecheck import check
-from oracles import naive_enumerate_redexes, printed_configuration_key, reference_explore
+from oracles import alpha_equivalent_configurations, naive_enumerate_redexes, printed_configuration_key, reference_explore
 import oracles
 
 DRAWS = 200
@@ -44,6 +46,21 @@ DRAWS = 200
 
 def corpus_configs():
     return [compile_corpus(*names) for names in RUNNABLE_CORPUS]
+
+
+def under_new(cfg: Configuration, name: str = "a") -> Configuration:
+    """`cfg` with its free channel `name` restricted at type `dyn`."""
+    return Configuration(((Name(name), DYN),), cfg.threads, cfg.halted, cfg.protected)
+
+
+# Restricted states whose keys differ if restricted names are kept as
+# written (`new`s hoisted in different orders) or if threads that tie on
+# their masked text are ordered by anything but their text.
+RESTRICTED = ("two_new.gpi", "tie_repl.gpi", "tie_pair.gpi")
+
+
+def restricted_configs():
+    return [compile_corpus(name) for name in RESTRICTED] + [under_new(compile_corpus("dyn_race.gpi"))]
 
 
 def party_configs(seed: int, count: int = DRAWS):
@@ -75,11 +92,12 @@ def assert_same_partition(cfg0, depth: int) -> int:
     to_printed: dict = {}
     to_structural: dict = {}
     expanded: set[str] = set()
+    table = IdTable()
     frontier = [cfg0]
     for d in range(depth + 1):
         successors = []
         for cfg in frontier:
-            structural, printed = configuration_key(cfg), printed_configuration_key(cfg)
+            structural, printed = state_key(table, cfg), printed_configuration_key(cfg)
             assert to_printed.setdefault(structural, printed) == printed
             assert to_structural.setdefault(printed, structural) == structural
             if d < depth and cfg.halted is None and printed not in expanded:
@@ -92,7 +110,7 @@ def assert_same_partition(cfg0, depth: int) -> int:
 def test_structural_key_partitions_states_like_the_printed_key():
     states = 0
     restricted = 0
-    for cfg in corpus_configs() + party_configs(211):
+    for cfg in corpus_configs() + party_configs(211) + restricted_configs():
         restricted += bool(cfg.restrictions)
         states += assert_same_partition(cfg, depth=10)
     assert restricted >= DRAWS // 3 and states > 500
@@ -100,28 +118,22 @@ def test_structural_key_partitions_states_like_the_printed_key():
 
 @functools.cache
 def explored_states() -> list:
-    """`(search, state, key, by ids)` for every state the explorer keys in a
+    """`(search, state, key)` for every state the explorer keys in a
     depth-10 search of each corpus composition and random party set.
 
-    A state keyed by `configuration_key` is recorded as the explorer built
-    it.  A state keyed by ids spliced from its parent's is not built by the
-    explorer when its key was seen; it is built here, from the parent and
-    the plan option being taken, with `_reduce`.
+    The explorer keys a successor from ids spliced from its parent's and
+    builds it only when its key is new, so each state is built here, from
+    the parent and the plan option being taken, with `_reduce`.
     """
     keyed = []
-    key, ids_key, plan_of = runtime.configuration_key, runtime._ids_key, runtime.redex_plan
+    key, plan_of = runtime.configuration_key, runtime.redex_plan
     current: list = []  # [state being expanded, its plan, option being taken]
 
-    def record_key(cfg):
-        result = key(cfg)
-        keyed.append((search, cfg, result, False))
-        return result
-
-    def record_ids_key(ids, status):
-        result = ids_key(ids, status)
+    def record_key(*args):
+        result = key(*args)
         cfg, plan, option = current
         state = cfg if option is None else runtime._reduce(cfg, plan.build(*option))[0]
-        keyed.append((search, state, result, True))
+        keyed.append((search, state, result))
         return result
 
     def noting_plan(cfg):
@@ -136,13 +148,13 @@ def explored_states() -> list:
         plan.options = noted
         return plan
 
-    runtime.configuration_key, runtime._ids_key, runtime.redex_plan = record_key, record_ids_key, noting_plan
+    runtime.configuration_key, runtime.redex_plan = record_key, noting_plan
     try:
         for search, cfg in enumerate(corpus_configs() + party_configs(229)):
             current[:] = [cfg, None, None]
             run(cfg, Exhaustive(10))
     finally:
-        runtime.configuration_key, runtime._ids_key, runtime.redex_plan = key, ids_key, plan_of
+        runtime.configuration_key, runtime.redex_plan = key, plan_of
     return keyed
 
 
@@ -150,20 +162,17 @@ def test_explorer_id_keys_partition_states_like_the_keys():
     # Ids come from one intern table per search, so keys compare within a search.
     by_ids: dict = {}
     back: dict = {}
-    with_ids = restricted = 0
-    for search, cfg, fast, by_id in explored_states():
-        fast = (search, fast)
-        slow = (search, configuration_key(cfg), printed_configuration_key(cfg))
+    restricted = 0
+    for search, cfg, fast in explored_states():
+        fast, slow = (search, fast), (search, printed_configuration_key(cfg))
         assert by_ids.setdefault(fast, slow) == slow
-        assert back.setdefault(slow[:2], fast) == fast
-        assert back.setdefault((search, slow[2]), fast) == fast
-        with_ids += by_id
+        assert back.setdefault(slow, fast) == fast
         restricted += bool(cfg.restrictions)
-    assert len(by_ids) > 1000 and with_ids > 1000 and restricted > 500
+    assert len(by_ids) > 1000 and restricted > 500
 
 
 def test_redex_plan_counts_and_builds_the_reference_order():
-    for _, cfg, _, _ in explored_states():
+    for _, cfg, _ in explored_states():
         plan, expected = redex_plan(cfg), naive_enumerate_redexes(cfg)
         assert len(plan) == len(expected)
         assert tuple(plan.redex(k) for k in range(len(plan))) == expected
@@ -220,15 +229,15 @@ def test_redex_order_matches_the_all_pairs_reference():
 
 
 def explore_queued(explore, module, monkeypatch, cfg, depth: int):
-    """`explore(cfg, depth)`, and the printed keys of the states it queued in order.
+    """`explore(cfg, depth)`, and the states it queued in order.
 
     `module` is where `explore` looks up `deque`.
     """
-    queued: list[str] = []
+    queued: list = []
 
     class Recording(deque):
         def append(self, entry):
-            queued.append(printed_configuration_key(entry[0]))
+            queued.append(entry[0])
             super().append(entry)
 
     def recording(entries):
@@ -247,7 +256,7 @@ def assert_explores_like_the_reference(monkeypatch, cfg, depth: int):
     expected, expected_queued = explore_queued(reference_explore, oracles, monkeypatch, cfg, depth)
     assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
     assert [o.halt for o in report.outcomes] == [o.halt for o in expected.outcomes]
-    assert queued == expected_queued
+    assert list(map(printed_configuration_key, queued)) == list(map(printed_configuration_key, expected_queued))
     return len(queued)
 
 
@@ -258,32 +267,80 @@ def test_explorer_queues_the_states_of_the_reference_explorer(monkeypatch):
     queued += assert_explores_like_the_reference(monkeypatch, compile_corpus("dyn_race.gpi"), 40)
     race = assert_explores_like_the_reference(monkeypatch, compile_corpus("dyn_race4.gpi"), 10)
     assert restricted >= DRAWS // 3 and queued > 1000 and race > 1000
+    # Keeping restricted names as written queues 8 more states on two_new.gpi;
+    # ordering tied threads by id instead of text queues others on tie_pair.gpi.
+    two_new, tie_repl, tie_pair, race = restricted_configs()
+    for cfg, depth in ((two_new, 20), (tie_repl, 8), (tie_pair, 10), (race, 40)):
+        assert_explores_like_the_reference(monkeypatch, cfg, depth)
+
+
+def test_no_two_states_queued_are_alpha_equivalent_when_names_are_spelt_apart(monkeypatch):
+    # Ordering tied threads by their written text, as the printed key does,
+    # queues 19 states here, two of them alpha-equivalent: their texts differ
+    # only in the spelling of a bound name.  The witnesses stay the same.
+    cfg = compile_corpus("spell.gpi")
+    report, queued = explore_queued(lambda c, d: run(c, Exhaustive(d)), runtime, monkeypatch, cfg, 8)
+    assert len(queued) == 18
+    assert not any(alpha_equivalent_configurations(a, b) for k, a in enumerate(queued) for b in queued[k + 1 :])
+    expected = reference_explore(cfg, 8)
+    assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
 
 
 def test_move_that_hoists_a_restriction_is_learnt_as_restricting(monkeypatch):
+    # A hoisting move is applied each time it is taken, since the fresh name
+    # it picks depends on the whole state.  Any other move is learnt once,
+    # from a restricted parent too.  A move's signature is its participants'
+    # canonical forms (their ids) and, for one thread, its kind.
     cfg = compile_corpus("extrusion_receivers.gpi", "extrusion_senders.gpi")
     assert not cfg.restrictions
-    learnt = []
-    learn = runtime._learn_move
+    taken: Counter = Counter()
+    learnt: Counter = Counter()
+    hoisting = set()
+    from_restricted = set()
+    learn, plan_of = runtime._learn_move, runtime.redex_plan
+
+    def signature(cfg, i, option):
+        return canonical(cfg.threads[i]), option if isinstance(option, str) else canonical(cfg.threads[option])
 
     def record(cfg, redex, table):
         succ, move = learn(cfg, redex, table)
-        learnt.append((redex.kind, move, bool(succ.restrictions)))
+        i, *partner = redex.participants
+        key = signature(cfg, i, partner[0] if partner else redex.kind)
+        learnt[key] += 1
+        if len(succ.restrictions) > len(cfg.restrictions):
+            hoisting.add(key)
+        elif cfg.restrictions:
+            from_restricted.add(key)
         return succ, move
 
+    def noting_plan(cfg):
+        plan = plan_of(cfg)
+        options = plan.options
+
+        def noted():
+            for i, option in options():
+                taken[signature(cfg, i, option)] += 1
+                yield i, option
+
+        plan.options = noted
+        return plan
+
     monkeypatch.setattr(runtime, "_learn_move", record)
+    monkeypatch.setattr(runtime, "redex_plan", noting_plan)
     report = run(cfg, Exhaustive(20))
-    assert ("comm", None, True) in learnt
-    assert all((move is None) == restricts for _, move, restricts in learnt)
+    assert any(taken[key] > 1 for key in hoisting)
+    assert any(taken[key] > 1 for key in from_restricted)
+    assert all(learnt[key] == (taken[key] if key in hoisting else 1) for key in taken)
     expected = reference_explore(cfg, 20)
     assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
     assert [o.halt for o in report.outcomes] == [o.halt for o in expected.outcomes]
 
 
 def test_explorer_reduces_and_canonicalises_only_new_work(monkeypatch):
-    # The parent of the move table made 14,152 `_reduce` calls on the 4x4 race.
-    for name in ("dyn_race4.gpi", "dyn_race.gpi"):
-        cfg = compile_corpus(name)
+    # Building every successor takes 14,152 `_reduce` calls on the 4x4 race,
+    # with or without `new (a:dyn)`.
+    race4 = compile_corpus("dyn_race4.gpi")
+    for cfg in (race4, compile_corpus("dyn_race.gpi"), under_new(race4)):
         reduced = []
         forms = []
         moves = []
