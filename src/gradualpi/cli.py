@@ -30,7 +30,6 @@ from .runtime import (
     Exhaustive,
     InteractiveAbort,
     Interactive,
-    Outcome,
     Redex,
     Seeded,
     Status,
@@ -209,18 +208,17 @@ def cmd_run(args) -> int:
             return EXIT_EXCEEDED
         return EXIT_OK
 
+    # Without --trace no step is recorded, and only the HALT line is printed.
     if args.mode == "interactive":
         try:
-            report = run(cfg, Interactive(_interactive_chooser, args.max_steps))
+            report = run(cfg, Interactive(_interactive_chooser, args.max_steps), trace=args.trace)
         except InteractiveAbort:
             print("aborted", file=sys.stderr)
             return EXIT_USAGE
     else:
-        report = run(cfg, Seeded(args.seed, args.max_steps))
+        report = run(cfg, Seeded(args.seed, args.max_steps), trace=args.trace)
 
     outcome = report.outcomes[0]
-    if not args.trace:  # the HALT line alone: no step is rendered
-        outcome = Outcome(outcome.status, outcome.halt, ())
     for line in format_trace(outcome):
         print(line)
     return _STATUS_EXIT[outcome.status]

@@ -16,6 +16,16 @@ step relation has four redex kinds:
 
 Casts on an output's arguments never block anything; they are examined
 only if the value is later used as a subject.
+
+Enabled redexes have one order (``redex_plan``).  The exhaustive explorer
+builds a plan per state, in one pass over its threads.  A sequential run
+(seeded or interactive) keeps its state in one ``threadindex.ThreadIndex``
+instead, which each step updates from the threads it replaced: blocks of
+about sqrt(n) threads with per-block counts, so counting the redexes,
+finding the k-th and applying a step cost O(sqrt n) in the thread count n,
+not O(n).  A step that hoists a restriction still scans every thread, in
+O(n), for the names its fresh name must avoid.  An untraced run records no
+trace events.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import enum
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .parser import format_channel, print_cast
 from .syntax import (
@@ -114,10 +124,12 @@ class TraceEvent:
     before: tuple[CastProcess, ...]
     after: tuple[CastProcess, ...]
 
-    def format(self) -> str:
+    def format(self, render: Optional[Callable[[CastProcess], str]] = None) -> str:
+        """The trace line; ``render`` prints a term (``print_cast`` by default)."""
+        render = render or print_cast
         label = self.rule if not self.detail else f"{self.rule}: {', '.join(self.detail)}"
-        before = " | ".join(map(print_cast, self.before))
-        after = " | ".join(map(print_cast, self.after))
+        before = " | ".join(map(render, self.before))
+        after = " | ".join(map(render, self.after))
         return f"#{self.index} [{label}] {before} --> {after}"
 
 
@@ -193,23 +205,8 @@ def _rebuild(
     Every other thread is kept as the same object, in the same relative
     order (the explorer's thread ids rely on it).
     """
-    avoid: Optional[set[Name]] = None
-
-    def in_use() -> set[Name]:
-        # The (linear) scan for the names in use runs on the first hoist only.
-        nonlocal avoid
-        if avoid is None:
-            avoid = set(cfg.protected)
-            avoid.update(name for name, _ in cfg.restrictions)
-            for i, thread in enumerate(cfg.threads):
-                if i not in replacements:
-                    avoid |= free_names(thread)
-            for items in replacements.values():
-                for item in items:
-                    avoid |= free_names(item)
-        return avoid
-
     restrictions = list(cfg.restrictions)
+    in_use = _names_in_use(cfg.protected, cfg.restrictions, cfg.threads, replacements)
     threads: list[CastProcess] = []
     halts: list[Halt] = []
     for i, thread in enumerate(cfg.threads):
@@ -220,6 +217,34 @@ def _rebuild(
             threads.append(thread)
     final = halted or cfg.halted or (halts[0] if halts else None)
     return Configuration(tuple(restrictions), tuple(threads), final, cfg.protected)
+
+
+def _names_in_use(
+    protected: frozenset[Name],
+    restrictions: Sequence[tuple[Name, Type]],
+    threads: Iterable[CastProcess],
+    replacements: Mapping[int, Sequence[CastProcess]],
+) -> Callable[[], set[Name]]:
+    """The ``in_use`` callback of a step that replaces threads: the names a
+    hoisted restriction must avoid.  The (linear) scan runs on the first
+    hoist only (before that hoist adds to ``restrictions``), and the set it
+    builds then grows with each hoisted name."""
+    avoid: Optional[set[Name]] = None
+
+    def in_use() -> set[Name]:
+        nonlocal avoid
+        if avoid is None:
+            avoid = set(protected)
+            avoid.update(name for name, _ in restrictions)
+            for i, thread in enumerate(threads):
+                if i not in replacements:
+                    avoid |= free_names(thread)
+            for items in replacements.values():
+                for item in items:
+                    avoid |= free_names(item)
+        return avoid
+
+    return in_use
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +304,8 @@ def redex_plan(cfg: Configuration) -> RedexPlan:
 
     Redexes are ordered by thread index (the input's, for a pair), then
     kind (communication, choice-left, choice-right, replicate), then the
-    partner output's index.  Seeded runs pick by position in this order.
+    partner output's index.  Sequential runs pick by position in this
+    order, kept by a ``ThreadIndex`` between steps.
     """
     if cfg.halted is not None:
         return RedexPlan(cfg.threads, ())
@@ -318,15 +344,22 @@ def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
     return redex_plan(cfg).redexes()
 
 
-def _heads(term: CastProcess, acc: set[tuple[str, Name, int]]) -> None:
-    """Input/output prefixes reachable without consuming any prefix."""
+_Head = tuple[str, str, int, int]  # direction, channel base and index, arity
+
+
+def _heads(term: CastProcess, acc: set[_Head]) -> None:
+    """Input/output prefixes reachable without consuming any prefix.
+
+    A head keys its channel by the name's fields, whose hashes are cheaper
+    than a Name's.
+    """
     stack = [term]
     while stack:
         match stack.pop():
             case CInput(c, binders, _):
-                acc.add(("in", c.base, len(binders)))
+                acc.add(("in", c.base.base, c.base.index, len(binders)))
             case COutput(c, args, _):
-                acc.add(("out", c.base, len(args)))
+                acc.add(("out", c.base.base, c.base.index, len(args)))
             case CPar(l, r) | CChoice(l, r):
                 stack += (l, r)
             case CRestrict(_, _, body) | CReplicate(body):
@@ -342,9 +375,9 @@ class _HeadPool:
 
     def __init__(self, threads: Sequence[CastProcess]):
         self._pending = iter(threads)
-        self._found: set[tuple[str, Name, int]] = set()
+        self._found: set[_Head] = set()
 
-    def __contains__(self, head: tuple[str, Name, int]) -> bool:
+    def __contains__(self, head: _Head) -> bool:
         while head not in self._found:
             thread = next(self._pending, None)
             if thread is None:
@@ -359,9 +392,15 @@ def _unfold_useful(thread: CReplicate, pool: _HeadPool) -> bool:
     The pool holds the heads of every thread; a replicated thread's own
     heads are among them, since the copy can pair with its original.
     """
-    mine: set[tuple[str, Name, int]] = set()
+    mine: set[_Head] = set()
     _heads(thread.body, mine)
-    return any(("in" if d == "out" else "out", base, n) in pool for d, base, n in mine)
+    return any(head in pool for head in _partner_heads(mine))
+
+
+def _partner_heads(heads: Iterable[_Head]) -> tuple[_Head, ...]:
+    """The heads that could meet ``heads``: the same channels and arities,
+    the other direction."""
+    return tuple(("in" if d == "out" else "out", base, index, n) for d, base, index, n in heads)
 
 
 # --------------------------------------------------------------------------
@@ -446,67 +485,77 @@ def resolve_input_casts(
 # --------------------------------------------------------------------------
 
 
+def _effects(
+    redex: Redex, participants: Sequence[CastProcess]
+) -> tuple[str, tuple[str, ...], dict[int, list[CastProcess]], Optional[Halt]]:
+    """What one redex does, given its participant threads (in participant
+    order): the trace rule and its detail, the processes that replace each
+    participant (what a trace event prints as its right-hand side), and the
+    halt it causes, if any.  Nothing is flattened or rendered.
+    """
+    if redex.kind in ("comm", "c-solve"):
+        (i, j), (inp, out) = redex.participants, participants
+        if not (isinstance(inp, CInput) and isinstance(out, COutput)):
+            raise ValueError(f"stale redex: {redex}")
+        if redex.kind == "comm":
+            mapping = {name: chan for (name, _), chan in zip(inp.binders, out.args)}
+            return "comm", (), {i: [substitute(inp.body, mapping)], j: [out.body]}, None
+        result, applied = resolve_output_casts(out)
+        if not isinstance(result, Halt):
+            result, in_applied = resolve_input_casts(inp, result)
+            applied += in_applied
+        if isinstance(result, Halt):
+            return "c-solve", applied, {i: [CTypeError()], j: []}, result
+        inp2, out2 = result
+        return "c-solve", applied, {i: [inp2], j: [out2]}, None
+
+    if redex.kind in ("choice-left", "choice-right"):
+        (i,), (thread,) = redex.participants, participants
+        if not isinstance(thread, CChoice):
+            raise ValueError(f"stale redex: {redex}")
+        side = "left" if redex.kind == "choice-left" else "right"
+        return "choice", (side,), {i: [thread.left if side == "left" else thread.right]}, None
+
+    if redex.kind == "replicate":
+        (i,), (thread,) = redex.participants, participants
+        if not isinstance(thread, CReplicate):
+            raise ValueError(f"stale redex: {redex}")
+        return "replicate", (), {i: [thread.body, thread]}, None
+
+    raise ValueError(f"unknown redex kind: {redex.kind}")
+
+
 def _reduce(
     cfg: Configuration, redex: Redex
 ) -> tuple[Configuration, str, tuple[str, ...], Mapping[int, Sequence[CastProcess]]]:
     """Apply one redex without rendering any text.
 
     Returns the new configuration, the trace rule and its detail, and the
-    processes that replaced each participant (what a trace event prints as
-    its right-hand side).
+    processes that replaced each participant.
     """
     if cfg.halted is not None:
         raise ValueError("cannot step a halted configuration")
     if any(k >= len(cfg.threads) for k in redex.participants):
         raise ValueError(f"stale redex: {redex}")
+    rule, detail, results, halted = _effects(redex, [cfg.threads[k] for k in redex.participants])
+    return _rebuild(cfg, results, halted), rule, detail, results
 
-    if redex.kind in ("comm", "c-solve"):
-        i, j = redex.participants
-        inp, out = cfg.threads[i], cfg.threads[j]
-        if not (isinstance(inp, CInput) and isinstance(out, COutput)):
-            raise ValueError(f"stale redex: {redex}")
-        if redex.kind == "comm":
-            mapping = {name: chan for (name, _), chan in zip(inp.binders, out.args)}
-            results = {i: [substitute(inp.body, mapping)], j: [out.body]}
-            return _rebuild(cfg, results), "comm", (), results
-        result, applied = resolve_output_casts(out)
-        if not isinstance(result, Halt):
-            result, in_applied = resolve_input_casts(inp, result)
-            applied += in_applied
-        if isinstance(result, Halt):
-            results = {i: [CTypeError()], j: []}
-            return _rebuild(cfg, results, halted=result), "c-solve", applied, results
-        inp2, out2 = result
-        results = {i: [inp2], j: [out2]}
-        return _rebuild(cfg, results), "c-solve", applied, results
 
-    if redex.kind in ("choice-left", "choice-right"):
-        (i,) = redex.participants
-        thread = cfg.threads[i]
-        if not isinstance(thread, CChoice):
-            raise ValueError(f"stale redex: {redex}")
-        side = "left" if redex.kind == "choice-left" else "right"
-        results = {i: [thread.left if side == "left" else thread.right]}
-        return _rebuild(cfg, results), "choice", (side,), results
-
-    if redex.kind == "replicate":
-        (i,) = redex.participants
-        thread = cfg.threads[i]
-        if not isinstance(thread, CReplicate):
-            raise ValueError(f"stale redex: {redex}")
-        results = {i: [thread.body, thread]}
-        return _rebuild(cfg, results), "replicate", (), results
-
-    raise ValueError(f"unknown redex kind: {redex.kind}")
+def _event(
+    index: int, rule: str, detail: tuple[str, ...], participants: Mapping[int, CastProcess], results
+) -> TraceEvent:
+    """The trace event of a step, both sides in thread order."""
+    order = sorted(participants)
+    before = tuple(participants[k] for k in order)
+    after = tuple(p for k in order for p in results[k])
+    return TraceEvent(index, rule, detail, before, after)
 
 
 def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuration, TraceEvent]:
     """Apply one redex; returns the new configuration and its trace event."""
     cfg2, rule, detail, results = _reduce(cfg, redex)
-    order = sorted(redex.participants)
-    before = tuple(cfg.threads[k] for k in order)
-    after = tuple(p for k in order for p in results[k])
-    return cfg2, TraceEvent(index, rule, detail, before, after)
+    participants = {k: cfg.threads[k] for k in redex.participants}
+    return cfg2, _event(index, rule, detail, participants, results)
 
 
 # --------------------------------------------------------------------------
@@ -608,41 +657,50 @@ Scheduler = Union[Seeded, Exhaustive, Interactive]
 _STATUS_ORDER = (Status.NORMAL_STUCK, Status.TYPE_ERROR, Status.DEPTH_EXCEEDED)
 
 
-def run(cfg: Configuration, scheduler: Scheduler) -> RunReport:
-    """Drive a configuration to a terminal status under the given policy."""
+def run(cfg: Configuration, scheduler: Scheduler, trace: bool = True) -> RunReport:
+    """Drive a configuration to a terminal status under the given policy.
+
+    Without ``trace`` no step is recorded: each outcome's trace is empty.
+    """
     if isinstance(scheduler, Seeded):
         rng = random.Random(scheduler.seed)
-        pick = lambda _cfg, plan: plan.redex(rng.randrange(len(plan)))
-        return RunReport((_run_sequential(cfg, pick, scheduler.max_steps),))
+        pick = lambda index: index.redex(rng.randrange(len(index)))
+        return RunReport((_run_sequential(cfg, pick, scheduler.max_steps, trace),))
     if isinstance(scheduler, Interactive):
 
-        def pick(cfg: Configuration, plan: RedexPlan) -> Optional[Redex]:
-            redexes = plan.redexes()
-            choice = scheduler.choose(cfg, redexes)
+        def pick(index) -> Optional[Redex]:
+            redexes = index.redexes()
+            choice = scheduler.choose(index.configuration(), redexes)
             return None if choice is None else redexes[choice]
 
-        return RunReport((_run_sequential(cfg, pick, scheduler.max_steps),))
+        return RunReport((_run_sequential(cfg, pick, scheduler.max_steps, trace),))
     if isinstance(scheduler, Exhaustive):
-        return _run_exhaustive(cfg, scheduler.depth)
+        return _run_exhaustive(cfg, scheduler.depth, trace)
     raise TypeError(f"unknown scheduler: {scheduler!r}")
 
 
-def _run_sequential(cfg: Configuration, pick, max_steps: int) -> Outcome:
-    """One path: ``pick`` takes one redex of each state's ``redex_plan``."""
+def _run_sequential(cfg: Configuration, pick, max_steps: int, trace: bool) -> Outcome:
+    """One path: ``pick`` takes one redex of each state's ``ThreadIndex``,
+    which each step updates in place."""
+    from .threadindex import ThreadIndex  # compiled on the first sequential run only
+
+    index = ThreadIndex(cfg)
     events: list[TraceEvent] = []
+    steps = 0
     while True:
-        if cfg.halted is not None:
-            return Outcome(cfg.halted.status, cfg.halted, tuple(events))
-        plan = redex_plan(cfg)
-        if not plan:
+        if index.halted is not None:
+            return Outcome(index.halted.status, index.halted, tuple(events))
+        if not index:
             return Outcome(Status.NORMAL_STUCK, Halt(Status.NORMAL_STUCK), tuple(events))
-        if len(events) >= max_steps:
+        if steps >= max_steps:
             return Outcome(Status.MAX_STEPS, Halt(Status.MAX_STEPS), tuple(events))
-        redex = pick(cfg, plan)
+        redex = pick(index)
         if redex is None:
             raise InteractiveAbort()
-        cfg, event = step(cfg, redex, len(events))
-        events.append(event)
+        rule, detail, participants, results = index.step(redex)
+        if trace:
+            events.append(_event(steps, rule, detail, participants, results))
+        steps += 1
 
 
 def _learn_move(cfg: Configuration, redex: Redex, table: IdTable) -> tuple[Configuration, tuple]:
@@ -663,7 +721,7 @@ def _learn_move(cfg: Configuration, redex: Redex, table: IdTable) -> tuple[Confi
     return succ, (replaced, succ.halted.status if succ.halted else None)
 
 
-def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
+def _run_exhaustive(cfg0: Configuration, depth: int, trace: bool) -> RunReport:
     """Breadth-first search over states, one witness per terminal status.
 
     Queue entries carry a parent pointer ``(parent, redex)`` instead of a
@@ -727,7 +785,7 @@ def _run_exhaustive(cfg0: Configuration, depth: int) -> RunReport:
     for status in _STATUS_ORDER:
         if status in witnesses:
             halt, path = witnesses[status]
-            outcomes.append(Outcome(status, halt, _replay(cfg0, path)))
+            outcomes.append(Outcome(status, halt, _replay(cfg0, path) if trace else ()))
     return RunReport(tuple(outcomes))
 
 
@@ -745,7 +803,21 @@ def _replay(cfg: Configuration, path: Optional[tuple]) -> tuple[TraceEvent, ...]
 
 
 def format_trace(outcome: Outcome) -> list[str]:
-    """The wire format consumed by the CLI and the golden tests."""
-    lines = [event.format() for event in outcome.trace]
+    """The wire format consumed by the CLI and the golden tests.
+
+    A term object is rendered once per trace: steps share the threads they
+    leave in place, so one object often appears on several lines.  The memo
+    is keyed by identity (a term's hash recurses over it) and holds the
+    term, so no id is reused while it lives.
+    """
+    memo: dict[int, tuple[CastProcess, str]] = {}
+
+    def render(term: CastProcess) -> str:
+        found = memo.get(id(term))
+        if found is None:
+            found = memo[id(term)] = (term, print_cast(term))
+        return found[1]
+
+    lines = [event.format(render) for event in outcome.trace]
     lines.append(f"HALT: {outcome.halt.describe()}")
     return lines

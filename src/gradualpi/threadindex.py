@@ -1,0 +1,310 @@
+"""The live thread index of a sequential run.
+
+A seeded or interactive run keeps its threads here between steps instead of
+rescanning and copying the whole thread list at every step, as the
+exhaustive explorer's ``redex_plan`` and ``_rebuild`` do.  The index offers
+the redexes in the order of ``redex_plan`` and applies a step as ``_reduce``
+does, so a seeded run draws the same redexes and prints the same trace.
+``runtime`` imports this module on the first sequential run, so commands
+that run nothing do not compile it.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+from typing import Hashable, Iterable, Iterator
+
+from .runtime import (
+    _CHOICE_KINDS,
+    Configuration,
+    Halt,
+    Redex,
+    _effects,
+    _flatten_into,
+    _Head,
+    _heads,
+    _names_in_use,
+    _partner_heads,
+)
+from .syntax import CastProcess, CChoice, CInput, COutput, CReplicate
+
+
+_OTHER, _IN, _OUT, _CHOICE, _REP = range(5)  # thread kinds
+_MIN_BLOCK = 32  # threads per block, at least
+
+
+def _add(counts: dict, key: Hashable, delta: int) -> int:
+    """Add ``delta`` to ``counts[key]``, dropping a count that reaches 0."""
+    n = counts.get(key, 0) + delta
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
+    return n
+
+
+class _Block:
+    """A run of consecutive threads, counted by class ``(kind, key)``: the
+    key is the channel key ``(base, index, arity)`` of an input or output,
+    and the id of a replicated thread."""
+
+    __slots__ = ("items", "counts")
+
+    def __init__(self, items: list[tuple]):
+        self.items = items  # (class, thread, heads) per thread, in thread order
+        self.counts: dict[tuple, int] = {}
+        for item in items:
+            _add(self.counts, item[0], 1)
+
+
+class ThreadIndex:
+    """The threads of a sequential run, kept between steps and updated from
+    each step's replacements, with the redexes they enable counted.
+
+    Threads live in blocks of about the square root of their number, each
+    counting its threads by class (``_Block``).  Global counts per class
+    keep ``len`` (the number of enabled redexes: inputs times outputs per
+    channel key, two per choice, one per useful replicated thread) up to
+    date in O(1) per thread that enters or leaves.  ``redex(k)`` walks the
+    blocks' weights, then one block, in the order of ``redex_plan``; it finds
+    an input's partner, the k-th output on its key, the same way.  A
+    replicated thread is offered when a copy could meet a partner among the
+    heads of all threads (``_unfold_useful``): the heads are kept as a
+    multiset, and a replicated thread's usefulness is recomputed only when
+    a head it needs appears or disappears.  So a step costs O(sqrt n) in
+    the thread count n, except a step that hoists a restriction, which
+    scans every thread for the names in use (as ``_rebuild`` does, picking
+    the same fresh names).
+
+    Per-thread facts are kept by object identity (a term's hash recurses
+    over it) for as long as some position holds the thread, so the index
+    holds no thread the run has dropped.
+    """
+
+    def __init__(self, cfg: Configuration):
+        self.restrictions = list(cfg.restrictions)
+        self.halted = cfg.halted
+        self.protected = cfg.protected
+        self._live: dict[int, list] = {}  # id(thread) -> [its item, positions holding it]
+        self._totals: dict[tuple, int] = {}  # class -> threads in it
+        self._useful: dict[int, int] = {}  # id(replicated thread) -> 1 if a copy could meet a partner
+        self._needs: dict[int, tuple[_Head, ...]] = {}  # id(replicated thread) -> heads a copy could meet
+        self._needers: dict[_Head, set[int]] = {}  # head -> replicated threads that need it
+        self._heads: dict[_Head, int] = {}  # head -> threads that have it
+        self._count = 0
+        self._n = len(cfg.threads)
+        self._size = max(_MIN_BLOCK, isqrt(self._n))
+        items = [self._item(thread) for thread in cfg.threads]
+        self._blocks = [_Block(items[k : k + self._size]) for k in range(0, len(items), self._size)]
+        for item in items:
+            self._enter(item, 1)
+
+    # -- per-thread facts and global counts ------------------------------------
+
+    def _item(self, thread: CastProcess) -> tuple:
+        """``(class, thread, heads)`` of a thread."""
+        entry = self._live.get(id(thread))
+        if entry is not None:
+            return entry[0]
+        if isinstance(thread, (CInput, COutput)):
+            name = thread.subject.base
+            if isinstance(thread, CInput):
+                kind, direction, arity = _IN, "in", len(thread.binders)
+            else:
+                kind, direction, arity = _OUT, "out", len(thread.args)
+            item = ((kind, (name.base, name.index, arity)), thread, ((direction, name.base, name.index, arity),))
+        else:
+            found: set[_Head] = set()
+            _heads(thread, found)  # a replicated thread's heads are its body's
+            heads = tuple(found)
+            if isinstance(thread, CReplicate):
+                key = id(thread)
+                needs = self._needs[key] = _partner_heads(heads)
+                for head in needs:
+                    self._needers.setdefault(head, set()).add(key)
+                self._useful[key] = int(any(self._heads.get(head) for head in needs))
+                item = ((_REP, key), thread, heads)
+            else:
+                item = ((_CHOICE if isinstance(thread, CChoice) else _OTHER, None), thread, heads)
+        self._live[id(thread)] = [item, 0]
+        return item
+
+    def _weight(self, cls: tuple) -> int:
+        """The number of redexes a thread of class ``cls`` offers."""
+        kind, key = cls
+        if kind == _IN:
+            return self._totals.get((_OUT, key), 0)
+        if kind == _CHOICE:
+            return 2
+        if kind == _REP:
+            return self._useful[key]
+        return 0
+
+    def _enter(self, item: tuple, delta: int) -> None:
+        """Count a thread in (``delta`` 1) or out (-1) of the global counts."""
+        cls, thread, heads = item
+        kind, key = cls
+        if kind == _OUT:  # one more or one fewer partner for each input on its key
+            self._count += delta * self._totals.get((_IN, key), 0)
+        else:
+            self._count += delta * self._weight(cls)
+        _add(self._totals, cls, delta)
+        for head in heads:
+            if _add(self._heads, head, delta) == (1 if delta > 0 else 0):  # it appeared or disappeared
+                for rep in self._needers.get(head, ()):
+                    self._recompute(rep)
+        entry = self._live[id(thread)]
+        entry[1] += delta
+        if not entry[1]:  # no position holds the thread any more
+            del self._live[id(thread)]
+            if kind == _REP:
+                for head in self._needs.pop(key):
+                    self._needers[head].discard(key)
+                del self._useful[key]
+
+    def _recompute(self, rep: int) -> None:
+        useful = int(any(self._heads.get(head) for head in self._needs[rep]))
+        if useful != self._useful[rep]:
+            self._count += (useful - self._useful[rep]) * self._totals.get((_REP, rep), 0)
+            self._useful[rep] = useful
+
+    # -- reading ---------------------------------------------------------------
+
+    def __len__(self) -> int:
+        """The number of enabled redexes."""
+        return 0 if self.halted is not None else self._count
+
+    def threads(self) -> tuple[CastProcess, ...]:
+        return tuple(self._iter_threads())
+
+    def _iter_threads(self) -> Iterator[CastProcess]:
+        for block in self._blocks:
+            for item in block.items:
+                yield item[1]
+
+    def configuration(self) -> Configuration:
+        return Configuration(tuple(self.restrictions), self.threads(), self.halted, self.protected)
+
+    def redex(self, k: int) -> Redex:
+        """The redex at position ``k`` of the order of ``redex_plan``."""
+        if not 0 <= k < len(self):
+            raise IndexError("redex position out of range")
+        start = 0
+        for block in self._blocks:
+            weight = sum(n * self._weight(cls) for cls, n in block.counts.items())
+            if k < weight:
+                break
+            k -= weight
+            start += len(block.items)
+        for offset, (cls, thread, _) in enumerate(block.items):
+            weight = self._weight(cls)
+            if k < weight:
+                kind, key = cls
+                i = start + offset
+                if kind == _CHOICE:
+                    return Redex(_CHOICE_KINDS[k], (i,))
+                if kind == _REP:
+                    return Redex("replicate", (i,))
+                j, out = self._nth_output(key, k)
+                bare = thread.subject.is_bare and out.subject.is_bare
+                return Redex("comm" if bare else "c-solve", (i, j), thread.subject.base)
+            k -= weight
+        raise AssertionError("block counts disagree with their threads")
+
+    def _nth_output(self, key: tuple, k: int) -> tuple[int, COutput]:
+        """The position and thread of the ``k``-th output on ``key``."""
+        cls = (_OUT, key)
+        start = 0
+        for block in self._blocks:
+            n = block.counts.get(cls, 0)
+            if k < n:
+                break
+            k -= n
+            start += len(block.items)
+        for offset, (other, thread, _) in enumerate(block.items):
+            if other == cls:
+                if not k:
+                    return start + offset, thread
+                k -= 1
+        raise AssertionError("block counts disagree with their threads")
+
+    def redexes(self) -> tuple[Redex, ...]:
+        return tuple(self.redex(k) for k in range(len(self)))
+
+    # -- stepping --------------------------------------------------------------
+
+    def step(
+        self, redex: Redex
+    ) -> tuple[str, tuple[str, ...], dict[int, CastProcess], dict[int, list[CastProcess]]]:
+        """Apply one redex in place, as ``_reduce`` applies it to a configuration.
+
+        Returns the trace rule and its detail, the participants by position,
+        and the processes that replaced each (before flattening).
+        """
+        if self.halted is not None:
+            raise ValueError("cannot step a halted configuration")
+        located = self._locate(redex.participants)
+        participants = {k: block.items[offset][1] for k, (block, offset) in located.items()}
+        rule, detail, results, halted = _effects(redex, [participants[k] for k in redex.participants])
+        in_use = _names_in_use(self.protected, self.restrictions, self._iter_threads(), results)
+        halts: list[Halt] = []
+        flat: dict[int, list[CastProcess]] = {}
+        for k in sorted(results):  # hoisted names are picked in thread order
+            flat[k] = []
+            for item in results[k]:
+                _flatten_into(item, self.restrictions, flat[k], in_use, halts)
+        for k in sorted(flat, reverse=True):  # so each earlier offset stays valid
+            self._replace(*located[k], flat[k])
+        for block, _ in located.values():
+            self._tidy(block)
+        self.halted = halted or (halts[0] if halts else None)
+        return rule, detail, participants, results
+
+    def _locate(self, positions: Iterable[int]) -> dict[int, tuple[_Block, int]]:
+        """The block holding each thread position, and the offset there, in
+        one walk over the blocks."""
+        pending = sorted(positions, reverse=True)
+        if pending and pending[-1] < 0:
+            raise IndexError("thread position out of range")
+        found = {}
+        start = 0
+        for block in self._blocks:
+            if not pending:
+                break
+            end = start + len(block.items)
+            while pending and pending[-1] < end:
+                k = pending.pop()
+                found[k] = (block, k - start)
+            start = end
+        if pending:
+            raise IndexError("thread position out of range")
+        return found
+
+    def _replace(self, block: _Block, offset: int, threads: list[CastProcess]) -> None:
+        # The new threads enter before the old one leaves, so a thread that
+        # stays (a replicated one, say) keeps its facts.
+        new = [self._item(thread) for thread in threads]
+        for item in new:
+            _add(block.counts, item[0], 1)
+            self._enter(item, 1)
+        old = block.items[offset]
+        _add(block.counts, old[0], -1)
+        self._enter(old, -1)
+        block.items[offset : offset + 1] = new
+        self._n += len(new) - 1
+
+    def _tidy(self, block: _Block) -> None:
+        """Keep ``block`` between a quarter of and twice the target size: an
+        empty or small block is merged into its successor (or dropped), a
+        big one split."""
+        size = self._size
+        if size // 4 <= len(block.items) <= 2 * size:
+            return
+        b = next((b for b, other in enumerate(self._blocks) if other is block), None)
+        if b is None:  # merged or split already
+            return
+        items, end = block.items, b + 1
+        if len(items) < size // 4 and end < len(self._blocks):
+            items, end = items + self._blocks[end].items, end + 1
+        self._size = size = max(_MIN_BLOCK, isqrt(self._n))
+        self._blocks[b:end] = [_Block(items[k : k + size]) for k in range(0, len(items), size)]

@@ -221,6 +221,37 @@ def test_untraced_run_renders_no_step(capsys, monkeypatch):
     assert printed
 
 
+def test_untraced_run_records_no_step(capsys, monkeypatch):
+    reports = []
+    run = cli.run
+
+    def recording(*args, **kwargs):
+        reports.append(run(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run", recording)
+    code, out, _ = run_cli(capsys, "run", corpus("dyn_server.gpi"), "--seed", "3")
+    assert (code, out) == (0, golden("run_dyn_server_seed3.txt").splitlines(keepends=True)[-1])
+    assert reports[0].outcomes[0].trace == ()
+
+
+def test_seeded_run_neither_rescans_nor_rebuilds_per_step(capsys, monkeypatch):
+    # The run keeps one live thread index; only `normalize` builds a configuration.
+    import gradualpi.runtime as runtime
+
+    calls = {"redex_plan": 0, "_rebuild": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(runtime, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(runtime, name, counting)
+    code, out, _ = run_cli(capsys, "run", corpus("dyn_server.gpi"), "--seed", "3", "--trace")
+    assert (code, out) == (0, golden("run_dyn_server_seed3.txt"))
+    assert calls == {"redex_plan": 0, "_rebuild": 1}
+
+
 def test_run_seeded_byte_identical(capsys):
     args = ("run", corpus("client.gpi"), corpus("agency.gpi"), "--seed", "3", "--trace")
     code1, out1, _ = run_cli(capsys, *args)

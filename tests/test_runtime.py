@@ -430,6 +430,15 @@ def test_seeded_max_steps_budget():
     assert tiny.outcomes[0].status is Status.MAX_STEPS
 
 
+def test_untraced_runs_reach_the_same_halts_and_record_no_step():
+    for names in RUNNABLE_CORPUS:
+        cfg = compile_corpus(*names)
+        for scheduler in (Seeded(seed=2, max_steps=30), Exhaustive(8)):
+            traced, untraced = run(cfg, scheduler), run(cfg, scheduler, trace=False)
+            assert [o.halt for o in untraced.outcomes] == [o.halt for o in traced.outcomes]
+            assert all(o.trace == () for o in untraced.outcomes)
+
+
 def test_c_solve_atomicity_other_threads_untouched():
     cfg = compile_corpus("client.gpi", "misuse_agency.gpi", "stray_payer.gpi")
     rng = random.Random(83)

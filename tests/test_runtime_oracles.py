@@ -9,7 +9,8 @@ reference explorer, which builds and keys every successor, queues (on
 `spell.gpi` it queues fewer, none of them alpha-equivalent).  The single-pass
 `enumerate_redexes` must return exactly the tuple of the all-pairs-then-sort
 reference, and `redex_plan` must count that tuple and build each of its
-positions alone.
+positions alone.  So must the `ThreadIndex` of a sequential run at every
+step, and its threads must be those `_rebuild` builds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from collections import Counter, deque
 from conftest import RUNNABLE_CORPUS, compile_corpus, state_key
 from gen import random_party_set
 import gradualpi.runtime as runtime
+import gradualpi.threadindex as threadindex
 from gradualpi.castinsert import insert_casts
+from gradualpi.parser import parse
 from gradualpi.runtime import (
     Configuration,
     Exhaustive,
@@ -37,6 +40,7 @@ from gradualpi.runtime import (
     step,
 )
 from gradualpi.syntax import DYN, CPar, CRestrict, Name, canonical, free_names
+from gradualpi.threadindex import ThreadIndex
 from gradualpi.typecheck import check
 from oracles import alpha_equivalent_configurations, naive_enumerate_redexes, printed_configuration_key, reference_explore
 import oracles
@@ -353,3 +357,74 @@ def test_explorer_reduces_and_canonicalises_only_new_work(monkeypatch):
         replayed = sum(len(outcome.trace) for outcome in report.outcomes)
         assert len(reduced) <= len(queued) + len(moves) + replayed
         assert len(forms) == len({canonicalise(thread) for thread in forms})
+
+
+# Compositions whose seeded runs hoist restrictions (with fresh names), take
+# choices, and unfold replicas whose usefulness changes as heads come and go.
+INDEXED_CORPUS = RUNNABLE_CORPUS + [
+    ("extrusion_receivers.gpi", "extrusion_senders.gpi"),
+    ("two_new.gpi",),
+    ("tie_pair.gpi",),
+    ("tie_repl.gpi",),
+    ("dyn_server.gpi",),
+]
+
+
+def compile_text(text: str, protect: bool = True) -> Configuration:
+    program = parse(text)
+    proc = insert_casts(program.env, program.proc).proc
+    return normalize(proc, frozenset(name for name, _ in program.env.bindings) if protect else frozenset())
+
+
+def dyn_server(clients: int) -> Configuration:
+    """The replicated `dyn` server `!p?(j:o()).0` with `clients` senders."""
+    return compile_text("chan p : dyn;\nchan m : o();\nrun !p?(j:o()).0 | " + " | ".join(["p!<m>.0"] * clients) + "\n")
+
+
+# A `new` hoisted after a communication binds a name that is free, and not
+# protected, in a thread the step leaves alone: only a scan of every thread
+# finds that it must be renamed.
+CLASH = "chan a : dyn;\nchan y : dyn;\nrun a?().new (y:o()) y!<>.0 | a!<>.0 | y?().0 | y!<>.0\n"
+
+
+def assert_index_follows_rebuild(cfg: Configuration, seed: int, steps: int) -> int:
+    """A seeded walk from `cfg` kept in one `ThreadIndex`; at every state the
+    index counts and builds the redexes of the naive enumeration of its
+    materialised configuration, and every step leaves the configuration that
+    `_reduce` (through `_rebuild`) builds.  Returns the states checked."""
+    index, rng = ThreadIndex(cfg), random.Random(seed)
+    for checked in range(1, steps + 1):
+        materialised = index.configuration()
+        assert materialised == cfg
+        expected = naive_enumerate_redexes(materialised)
+        assert len(index) == len(expected)
+        assert tuple(index.redex(k) for k in range(len(index))) == expected
+        assert set(index._live) == {id(thread) for thread in index.threads()}  # nothing dropped is kept
+        if not expected:
+            return checked
+        redex = expected[rng.randrange(len(expected))]
+        cfg, rule, detail, _ = runtime._reduce(cfg, redex)
+        assert index.step(redex)[:2] == (rule, detail)
+    return steps
+
+
+def test_thread_index_matches_the_naive_enumeration_at_every_step(monkeypatch):
+    def walk_all():
+        checked = 0
+        for names in INDEXED_CORPUS:
+            for seed in range(3):
+                checked += assert_index_follows_rebuild(compile_corpus(*names), seed, 60)
+        for seed, cfg in enumerate(configs):
+            checked += assert_index_follows_rebuild(cfg, seed, 40)
+        for seed in range(3):
+            checked += assert_index_follows_rebuild(compile_text(CLASH, protect=False), seed, 10)
+        return checked + assert_index_follows_rebuild(dyn_server(60), 0, 400)
+
+    configs = party_configs(239)
+    assert sum(bool(cfg.restrictions) for cfg in configs) >= DRAWS // 3
+    assert walk_all() > 900
+    # Small blocks: partners and redexes are found across many blocks, and
+    # blocks split, merge and empty as threads come and go.
+    for size in (8, 2):
+        monkeypatch.setattr(threadindex, "_MIN_BLOCK", size)
+        assert walk_all() > 900
