@@ -17,8 +17,9 @@ step relation has four redex kinds:
 Casts on an output's arguments never block anything; they are examined
 only if the value is later used as a subject.
 
-Enabled redexes have one order (``redex_plan``).  The exhaustive explorer
-builds a plan per state, in one pass over its threads.  A sequential run
+Enabled redexes have one order, planned from per-thread facts (``_plan``):
+``redex_plan`` reads them off a configuration's threads, the exhaustive
+explorer off its memo per canonical thread form.  A sequential run
 (seeded or interactive) keeps its state in one ``threadindex.ThreadIndex``
 instead, which each step updates from the threads it replaced: blocks of
 about sqrt(n) threads with per-block counts, so counting the redexes,
@@ -253,6 +254,28 @@ def _names_in_use(
 
 _CHOICE_KINDS = ("choice-left", "choice-right")
 _REPLICATE_KINDS = ("replicate",)
+_OTHER, _IN, _OUT, _CHOICE, _REP = range(5)  # thread kinds, as the redex order reads them
+
+
+def _facts(thread: CastProcess) -> tuple:
+    """What the redex order reads of a thread: ``(kind, key, heads, exact)``.
+
+    ``key`` is the channel key ``(base, index, arity)`` of an input or
+    output; ``heads`` are the thread's heads.  A top-level subject is free,
+    so alpha-equivalent threads have the same facts, unless a head's
+    channel is restricted inside the thread: then ``exact`` is false.
+    """
+    if isinstance(thread, CInput):
+        kind, direction, arity = _IN, "in", len(thread.binders)
+    elif isinstance(thread, COutput):
+        kind, direction, arity = _OUT, "out", len(thread.args)
+    else:
+        heads: set[_Head] = set()
+        exact = _heads(thread, heads)  # a replicated thread's heads are its body's
+        kind = _CHOICE if isinstance(thread, CChoice) else _REP if isinstance(thread, CReplicate) else _OTHER
+        return kind, None, tuple(heads), exact
+    key = (thread.subject.base.base, thread.subject.base.index, arity)
+    return kind, key, ((direction, *key),), True
 
 
 class RedexPlan:
@@ -300,42 +323,46 @@ class RedexPlan:
 
 
 def redex_plan(cfg: Configuration) -> RedexPlan:
-    """The enabled redexes in a fixed order, one pass over the threads.
+    """The enabled redexes in a fixed order (see ``_plan``)."""
+    if cfg.halted is not None:
+        return RedexPlan(cfg.threads, ())
+    return _plan(cfg.threads, list(map(_facts, cfg.threads)))
+
+
+def _plan(threads: Sequence[CastProcess], facts: Sequence[tuple]) -> RedexPlan:
+    """The enabled redexes of threads with the given facts, in one pass.
 
     Redexes are ordered by thread index (the input's, for a pair), then
     kind (communication, choice-left, choice-right, replicate), then the
     partner output's index.  Sequential runs pick by position in this
-    order, kept by a ``ThreadIndex`` between steps.
+    order, kept by a ``ThreadIndex`` between steps.  The exhaustive explorer
+    passes canonical forms as ``threads``: a plan reads only their subjects,
+    to build a redex, and a form's subject is its thread's.
     """
-    if cfg.halted is not None:
-        return RedexPlan(cfg.threads, ())
-    threads = cfg.threads
-    # Outputs by channel and arity; an input's entry shares the list, which
-    # the rest of the pass may still extend.  The channel is keyed by its
-    # fields, whose hashes are cheaper than a Name's.
+    # Outputs by channel key; an input's entry shares the list, which the
+    # rest of the pass may still extend.
     outputs: dict[tuple[str, int, int], list[int]] = {}
-    pool = _HeadPool(threads)
+    pool: Optional[set[_Head]] = None
     entries: list[tuple[int, Sequence]] = []
-    for i, thread in enumerate(threads):
-        if isinstance(thread, COutput):
-            name = thread.subject.base
-            key = (name.base, name.index, len(thread.args))
+    for i, (kind, key, heads, _) in enumerate(facts):
+        if kind == _OUT:
             partners = outputs.get(key)
             if partners is None:
                 outputs[key] = [i]
             else:
                 partners.append(i)
-        elif isinstance(thread, CInput):
-            name = thread.subject.base
-            key = (name.base, name.index, len(thread.binders))
+        elif kind == _IN:
             partners = outputs.get(key)
             if partners is None:
                 partners = outputs[key] = []
             entries.append((i, partners))
-        elif isinstance(thread, CChoice):
+        elif kind == _CHOICE:
             entries.append((i, _CHOICE_KINDS))
-        elif isinstance(thread, CReplicate) and _unfold_useful(thread, pool):
-            entries.append((i, _REPLICATE_KINDS))
+        elif kind == _REP:
+            if pool is None:  # every thread's heads: a copy can also pair with its original
+                pool = {head for thread in facts for head in thread[2]}
+            if not pool.isdisjoint(_partner_heads(heads)):  # a fresh copy could meet a partner
+                entries.append((i, _REPLICATE_KINDS))
     return RedexPlan(threads, [entry for entry in entries if entry[1]])
 
 
@@ -347,12 +374,14 @@ def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
 _Head = tuple[str, str, int, int]  # direction, channel base and index, arity
 
 
-def _heads(term: CastProcess, acc: set[_Head]) -> None:
+def _heads(term: CastProcess, acc: set[_Head]) -> bool:
     """Input/output prefixes reachable without consuming any prefix.
 
     A head keys its channel by the name's fields, whose hashes are cheaper
-    than a Name's.
+    than a Name's.  Returns whether no head's channel is a name restricted
+    on the way (``acc`` must start empty for that).
     """
+    restricted = []
     stack = [term]
     while stack:
         match stack.pop():
@@ -362,39 +391,12 @@ def _heads(term: CastProcess, acc: set[_Head]) -> None:
                 acc.add(("out", c.base.base, c.base.index, len(args)))
             case CPar(l, r) | CChoice(l, r):
                 stack += (l, r)
-            case CRestrict(_, _, body) | CReplicate(body):
+            case CRestrict(x, _, body):
+                restricted.append((x.base, x.index))
                 stack.append(body)
-
-
-class _HeadPool:
-    """The heads of a configuration's threads, scanned lazily.
-
-    Threads are scanned in order only as far as membership queries need,
-    and each at most once per pool.
-    """
-
-    def __init__(self, threads: Sequence[CastProcess]):
-        self._pending = iter(threads)
-        self._found: set[_Head] = set()
-
-    def __contains__(self, head: _Head) -> bool:
-        while head not in self._found:
-            thread = next(self._pending, None)
-            if thread is None:
-                return False
-            _heads(thread, self._found)
-        return True
-
-
-def _unfold_useful(thread: CReplicate, pool: _HeadPool) -> bool:
-    """Whether a fresh copy of ``thread`` could meet a partner.
-
-    The pool holds the heads of every thread; a replicated thread's own
-    heads are among them, since the copy can pair with its original.
-    """
-    mine: set[_Head] = set()
-    _heads(thread.body, mine)
-    return any(head in pool for head in _partner_heads(mine))
+            case CReplicate(body):
+                stack.append(body)
+    return not any(head[1:3] in restricted for head in acc)
 
 
 def _partner_heads(heads: Iterable[_Head]) -> tuple[_Head, ...]:
@@ -567,13 +569,17 @@ class IdTable:
     """One search's ids for canonical thread forms, numbered by arrival.
 
     Each thread asked for is also mapped to its form's id, so no thread is
-    put in canonical form twice.  A form's text and free names are computed
-    the first time a key of a restricted state needs them.
+    put in canonical form twice.  A form's redex-order facts (``_facts``)
+    are kept beside it, and the ids whose facts are not exact are collected
+    in ``inexact``.  A form's text and free names are computed the first
+    time a key of a restricted state needs them.
     """
 
     def __init__(self) -> None:
         self._ids: dict[CastProcess, int] = {}
-        self._forms: list[CastProcess] = []
+        self.forms: list[CastProcess] = []
+        self.facts: list[tuple] = []
+        self.inexact: set[int] = set()
         self._info: dict[int, tuple[str, tuple[Name, ...]]] = {}
         self._renamed: dict[tuple[int, tuple[Optional[int], ...]], int] = {}
 
@@ -582,15 +588,18 @@ class IdTable:
         found = self._ids.get(thread)
         if found is None:
             form = canonical(thread) if form is None else form
-            found = self._ids[thread] = self._ids.setdefault(form, len(self._forms))
-            if found == len(self._forms):
-                self._forms.append(form)
+            found = self._ids[thread] = self._ids.setdefault(form, len(self.forms))
+            if found == len(self.forms):
+                self.forms.append(form)
+                self.facts.append(_facts(form))
+                if not self.facts[-1][3]:  # a head on a name restricted inside the form
+                    self.inexact.add(found)
         return found
 
     def info(self, i: int) -> tuple[str, tuple[Name, ...]]:
         """Form ``i``'s printed text and its free names in first-use order."""
         if i not in self._info:
-            form = self._forms[i]
+            form = self.forms[i]
             self._info[i] = print_cast(form), tuple(dict.fromkeys(name for name, _ in free_occurrences(form)))
         return self._info[i]
 
@@ -602,7 +611,7 @@ class IdTable:
         key = (i, tuple(numbers.get(name) for name in free))
         if key not in self._renamed:
             mapping = {name: CastChannel(Name("#r", k)) for name, k in zip(free, key[1]) if k is not None}
-            form = substitute(self._forms[i], mapping)
+            form = substitute(self.forms[i], mapping)
             self._renamed[key] = self.intern(form, form) if mapping else i
         return self._renamed[key]
 
@@ -703,101 +712,136 @@ def _run_sequential(cfg: Configuration, pick, max_steps: int, trace: bool) -> Ou
         steps += 1
 
 
-def _learn_move(cfg: Configuration, redex: Redex, table: IdTable) -> tuple[Configuration, tuple]:
-    """Apply ``redex`` to ``cfg``; returns the successor and its move: the
-    ids of the threads that replaced each participant (in participant order)
-    and the successor's halt status.  The threads are read from the
-    successor, where a restriction hoisted out of them may have been renamed.
-    """
-    succ, _, _, results = _reduce(cfg, redex)
-    spans, shift = {}, 0
-    for k in sorted(results):
+def _learn_move(table: IdTable, redex: Redex, forms: Sequence[CastProcess]) -> Optional[tuple]:
+    """The move of ``redex``: the ids of the threads that replace each
+    participant, flattened (in participant order), and the successor's halt
+    status.  These depend on the participants' alpha-classes alone, so
+    ``forms`` may hold canonical forms.  ``None`` if the move hoists a
+    restriction, whose fresh name depends on the whole state."""
+    _, _, results, halted = _effects(redex, [forms[k] for k in redex.participants])
+    replaced, hoisted, halts = [], [], []
+    for k in redex.participants:
         flat: list[CastProcess] = []
         for item in results[k]:
-            _flatten_into(item, [], flat, set, [])  # where it lands, not what it becomes
-        spans[k] = slice(k + shift, k + shift + len(flat))
-        shift += len(flat) - 1
-    replaced = tuple(tuple(map(table.intern, succ.threads[spans[k]])) for k in redex.participants)
-    return succ, (replaced, succ.halted.status if succ.halted else None)
+            _flatten_into(item, hoisted, flat, set, halts)
+        if hoisted:
+            return None
+        replaced.append(tuple(map(table.intern, flat)))
+    halted = halted or (halts[0] if halts else None)
+    return tuple(replaced), halted.status if halted else None
+
+
+class _Node:
+    """A queued state of the explorer: its threads' ids in thread order, its
+    restrictions and halt status, and how it was reached (the parent's
+    thread ``i`` took ``option`` of the redex plan).  ``cfg`` is kept once
+    built, while the node lives, that is while a descendant is queued or
+    it is on a witness's path."""
+
+    __slots__ = ("ids", "restrictions", "status", "depth", "parent", "i", "option", "cfg")
+
+    def __init__(self, ids, restrictions, status, depth, parent=None, i=0, option=0, cfg=None):
+        self.ids, self.restrictions, self.status, self.depth = ids, restrictions, status, depth
+        self.parent, self.i, self.option, self.cfg = parent, i, option, cfg
+
+    def configuration(self) -> Configuration:
+        """``cfg``, reduced from the nearest ancestor that holds one."""
+        path, node = [], self
+        while node.cfg is None:
+            path.append(node)
+            node = node.parent
+        for node in reversed(path):
+            node.cfg = _reduce(node.parent.cfg, RedexPlan(node.parent.cfg.threads, ()).build(node.i, node.option))[0]
+        return self.cfg
 
 
 def _run_exhaustive(cfg0: Configuration, depth: int, trace: bool) -> RunReport:
     """Breadth-first search over states, one witness per terminal status.
 
-    Queue entries carry a parent pointer ``(parent, redex)`` instead of a
-    trace; only the witnesses' traces are rendered, by replaying their
-    redexes from ``cfg0``.  A state is dropped when its key was seen
-    before: under FIFO order the first push of a key is at its least depth.
-
-    Every state carries its threads' canonical forms interned to ids (one
-    ``IdTable`` per run).  A step that hoists no restriction replaces each
-    participant in place, keeps the other threads in order and the
-    restrictions, and what replaces a participant depends on the
-    participants' alpha-classes alone.  So such a move is looked up in a
-    per-run table by its participants' ids (and, for one thread, its kind),
-    and the successor is keyed from ids spliced from its parent's: a
-    duplicate is dropped before any configuration or redex is built.  A
-    move that hoists a restriction is applied every time it is taken, since
-    the fresh name it picks depends on the whole state.
+    A state is dropped when its key was seen before: under FIFO order the
+    first push of a key is at its least depth.  Every state is a ``_Node``:
+    its threads' canonical forms interned to ids (one ``IdTable`` per run),
+    its restrictions, halt status and a parent pointer.  Its redex plan is
+    read from the facts memoised per id.  A step that hoists no restriction
+    replaces each participant in place and keeps the other threads, in
+    order, and the restrictions; what replaces a participant depends on the
+    participants' alpha-classes alone.  So such a move is learnt once per
+    run from the participants' forms, and looked up by their ids (and, for
+    one thread, its kind); the successor's ids are spliced from its
+    parent's.  A configuration is built only to apply a move that hoists a
+    restriction (every time it is taken, since the fresh name it picks
+    depends on the whole state), to read a witness's halt, or to plan a
+    state whose facts are not all exact; the witnesses' traces are rendered
+    by replaying their paths from ``cfg0``.
     """
-    witnesses: dict[Status, tuple[Halt, Optional[tuple]]] = {}
+    witnesses: dict[Status, tuple[Halt, _Node]] = {}
     table = IdTable()
-    moves: dict[tuple[int, Union[int, str]], tuple] = {}
-    ids0 = tuple(map(table.intern, cfg0.threads))
-    seen = {configuration_key(table, ids0, cfg0.halted.status if cfg0.halted else None, cfg0.restrictions)}
-    queue = deque([(cfg0, ids0, 0, None)])
+    forms, facts = table.forms, table.facts
+    moves: dict[tuple[int, Union[int, str]], Optional[tuple]] = {}
+    status = cfg0.halted and cfg0.halted.status
+    root = _Node(tuple(map(table.intern, cfg0.threads)), cfg0.restrictions, status, 0, cfg=cfg0)
+    seen = {configuration_key(table, root.ids, root.status, root.restrictions)}
+    queue = deque([root])
     while queue:
-        cfg, ids, d, path = queue.popleft()
-        if cfg.halted is not None:
-            witnesses.setdefault(cfg.halted.status, (cfg.halted, path))
+        node = queue.popleft()
+        ids = node.ids
+        if node.status is not None:
+            if node.status not in witnesses:
+                witnesses[node.status] = (node.configuration().halted, node)
             continue
-        plan = redex_plan(cfg)
+        if table.inexact.isdisjoint(ids):
+            threads = [forms[k] for k in ids]
+            plan = _plan(threads, [facts[k] for k in ids])
+        else:  # heads on names restricted inside a thread are matched as written
+            plan = redex_plan(node.configuration())
+            threads = node.cfg.threads
         if not plan:
-            witnesses.setdefault(Status.NORMAL_STUCK, (Halt(Status.NORMAL_STUCK), path))
+            witnesses.setdefault(Status.NORMAL_STUCK, (Halt(Status.NORMAL_STUCK), node))
             continue
-        if d >= depth:
-            witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), path))
+        if node.depth >= depth:
+            witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), node))
             continue
         for i, option in plan.options():
             # A pair's kind (comm or c-solve) follows from its threads.
             signature = (ids[i], option if isinstance(option, str) else ids[option])
-            redex = succ = None
             if signature in moves:
                 move = moves[signature]
             else:
-                redex = plan.build(i, option)
-                succ, move = _learn_move(cfg, redex, table)
-                if len(succ.restrictions) == len(cfg.restrictions):
-                    moves[signature] = move
-            spliced = list(ids)  # each participant's id replaced, in place, by the ids that replaced it
-            for k, new in sorted(zip((i,) if isinstance(option, str) else (i, option), move[0]), reverse=True):
-                spliced[k : k + 1] = new
-            succ_ids = tuple(spliced)
-            key = configuration_key(table, succ_ids, move[1], (cfg if succ is None else succ).restrictions)
-            if key in seen:
-                continue
-            seen.add(key)
-            if succ is None:
-                redex = plan.build(i, option)
-                succ = _reduce(cfg, redex)[0]
-            queue.append((succ, succ_ids, d + 1, (path, redex)))
+                move = moves[signature] = _learn_move(table, plan.build(i, option), threads)
+            succ = None
+            if move is None:  # applied, since the name a hoisted restriction takes depends on the whole state
+                succ = _reduce(node.configuration(), plan.build(i, option))[0]
+                succ_ids, restrictions = tuple(map(table.intern, succ.threads)), succ.restrictions
+                status = succ.halted and succ.halted.status
+            else:  # each participant's id is replaced, in place, by the ids that replaced it
+                (replaced, status), restrictions = move, node.restrictions
+                if isinstance(option, str):
+                    succ_ids = ids[:i] + replaced[0] + ids[i + 1 :]
+                elif i < option:
+                    succ_ids = ids[:i] + replaced[0] + ids[i + 1 : option] + replaced[1] + ids[option + 1 :]
+                else:
+                    succ_ids = ids[:option] + replaced[1] + ids[option + 1 : i] + replaced[0] + ids[i + 1 :]
+            key = configuration_key(table, succ_ids, status, restrictions)
+            if key not in seen:
+                seen.add(key)
+                queue.append(_Node(succ_ids, restrictions, status, node.depth + 1, node, i, option, succ))
     outcomes = []
     for status in _STATUS_ORDER:
         if status in witnesses:
-            halt, path = witnesses[status]
-            outcomes.append(Outcome(status, halt, _replay(cfg0, path) if trace else ()))
+            halt, node = witnesses[status]
+            outcomes.append(Outcome(status, halt, _replay(cfg0, node) if trace else ()))
     return RunReport(tuple(outcomes))
 
 
-def _replay(cfg: Configuration, path: Optional[tuple]) -> tuple[TraceEvent, ...]:
-    """The trace of the redexes on a parent-pointer path, from ``cfg``."""
-    redexes: list[Redex] = []
-    while path is not None:
-        path, redex = path
-        redexes.append(redex)
+def _replay(cfg: Configuration, node: _Node) -> tuple[TraceEvent, ...]:
+    """The trace of the steps on a node's path, from ``cfg``."""
+    path: list[_Node] = []
+    while node.parent is not None:
+        path.append(node)
+        node = node.parent
     events = []
-    for index, redex in enumerate(reversed(redexes)):
-        cfg, event = step(cfg, redex, index)
+    for index, node in enumerate(reversed(path)):
+        cfg, event = step(cfg, RedexPlan(cfg.threads, ()).build(node.i, node.option), index)
         events.append(event)
     return tuple(events)
 

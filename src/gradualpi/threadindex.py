@@ -1,10 +1,11 @@
 """The live thread index of a sequential run.
 
 A seeded or interactive run keeps its threads here between steps instead of
-rescanning and copying the whole thread list at every step, as the
-exhaustive explorer's ``redex_plan`` and ``_rebuild`` do.  The index offers
-the redexes in the order of ``redex_plan`` and applies a step as ``_reduce``
-does, so a seeded run draws the same redexes and prints the same trace.
+rescanning and copying the whole thread list at every step, as
+``redex_plan`` and ``_rebuild`` do.  The index offers the redexes in the
+order of ``redex_plan``, from the same per-thread facts, and applies a step
+as ``_reduce`` does, so a seeded run draws the same redexes and prints the
+same trace.
 ``runtime`` imports this module on the first sequential run, so commands
 that run nothing do not compile it.
 """
@@ -15,21 +16,24 @@ from math import isqrt
 from typing import Hashable, Iterable, Iterator
 
 from .runtime import (
+    _CHOICE,
     _CHOICE_KINDS,
+    _IN,
+    _OUT,
+    _REP,
     Configuration,
     Halt,
     Redex,
     _effects,
+    _facts,
     _flatten_into,
     _Head,
-    _heads,
     _names_in_use,
     _partner_heads,
 )
-from .syntax import CastProcess, CChoice, CInput, COutput, CReplicate
+from .syntax import CastProcess, COutput
 
 
-_OTHER, _IN, _OUT, _CHOICE, _REP = range(5)  # thread kinds
 _MIN_BLOCK = 32  # threads per block, at least
 
 
@@ -106,26 +110,14 @@ class ThreadIndex:
         entry = self._live.get(id(thread))
         if entry is not None:
             return entry[0]
-        if isinstance(thread, (CInput, COutput)):
-            name = thread.subject.base
-            if isinstance(thread, CInput):
-                kind, direction, arity = _IN, "in", len(thread.binders)
-            else:
-                kind, direction, arity = _OUT, "out", len(thread.args)
-            item = ((kind, (name.base, name.index, arity)), thread, ((direction, name.base, name.index, arity),))
-        else:
-            found: set[_Head] = set()
-            _heads(thread, found)  # a replicated thread's heads are its body's
-            heads = tuple(found)
-            if isinstance(thread, CReplicate):
-                key = id(thread)
-                needs = self._needs[key] = _partner_heads(heads)
-                for head in needs:
-                    self._needers.setdefault(head, set()).add(key)
-                self._useful[key] = int(any(self._heads.get(head) for head in needs))
-                item = ((_REP, key), thread, heads)
-            else:
-                item = ((_CHOICE if isinstance(thread, CChoice) else _OTHER, None), thread, heads)
+        kind, key, heads, _ = _facts(thread)
+        if kind == _REP:
+            key = id(thread)
+            needs = self._needs[key] = _partner_heads(heads)
+            for head in needs:
+                self._needers.setdefault(head, set()).add(key)
+            self._useful[key] = int(any(self._heads.get(head) for head in needs))
+        item = ((kind, key), thread, heads)
         self._live[id(thread)] = [item, 0]
         return item
 

@@ -42,9 +42,10 @@ from gradualpi.runtime import (
     Redex,
     RunReport,
     Status,
+    TraceEvent,
     _reduce,
-    _replay,
     enumerate_redexes,
+    step,
 )
 from gradualpi.syntax import (
     CastChannel,
@@ -315,6 +316,19 @@ def reference_explore(cfg0: Configuration, depth: int) -> RunReport:
             halt, path = witnesses[status]
             outcomes.append(Outcome(status, halt, _replay(cfg0, path)))
     return RunReport(tuple(outcomes))
+
+
+def _replay(cfg: Configuration, path: Optional[tuple]) -> tuple[TraceEvent, ...]:
+    """The trace of the redexes on a `(parent, redex)` path, from `cfg`."""
+    redexes: list[Redex] = []
+    while path is not None:
+        path, redex = path
+        redexes.append(redex)
+    events = []
+    for index, redex in enumerate(reversed(redexes)):
+        cfg, event = step(cfg, redex, index)
+        events.append(event)
+    return tuple(events)
 
 
 def _heads(term: Process) -> list[tuple[str, Name, int]]:

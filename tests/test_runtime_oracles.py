@@ -6,7 +6,9 @@ and on the ids the explorer splices from a parent's.  The explorer's
 replayed witnesses must print exactly what an explorer rendering every
 step eagerly prints, and the explorer must queue exactly the states the
 reference explorer, which builds and keys every successor, queues (on
-`spell.gpi` it queues fewer, none of them alpha-equivalent).  The single-pass
+`spell.gpi` it queues fewer, none of them alpha-equivalent); the explorer
+builds few states, so each is materialised here by replaying its path.
+The plan it reads from its threads' ids must be the state's.  The single-pass
 `enumerate_redexes` must return exactly the tuple of the all-pairs-then-sort
 reference, and `redex_plan` must count that tuple and build each of its
 positions alone.  So must the `ThreadIndex` of a sequential run at every
@@ -31,6 +33,7 @@ from gradualpi.runtime import (
     Halt,
     IdTable,
     Outcome,
+    Redex,
     Status,
     enumerate_redexes,
     format_trace,
@@ -120,46 +123,89 @@ def test_structural_key_partitions_states_like_the_printed_key():
     assert restricted >= DRAWS // 3 and states > 500
 
 
-@functools.cache
-def explored_states() -> list:
-    """`(search, state, key)` for every state the explorer keys in a
-    depth-10 search of each corpus composition and random party set.
+def redex_for(cfg: Configuration, i: int, option) -> Redex:
+    """The redex of thread `i`'s plan option (a partner output or a kind)
+    in `cfg`, found in the naive enumeration."""
+    for redex in naive_enumerate_redexes(cfg):
+        if redex.participants == (i, option) or redex.participants == (i,) and redex.kind == option:
+            return redex
+    raise AssertionError(f"option {option!r} of thread {i} is not enabled")
 
-    The explorer keys a successor from ids spliced from its parent's and
-    builds it only when its key is new, so each state is built here, from
-    the parent and the plan option being taken, with `_reduce`.
+
+def materialise(cfg0: Configuration, node, memo: dict) -> Configuration:
+    """The state of an explorer node, replayed from `cfg0` along its parent
+    pointers with `step` and the naive enumeration; `memo` maps the nodes
+    of one search to their states."""
+    path = []
+    while node.parent is not None and node not in memo:
+        path.append(node)
+        node = node.parent
+    cfg = memo.get(node, cfg0)
+    for node in reversed(path):
+        cfg = memo[node] = step(cfg, redex_for(cfg, node.i, node.option))[0]
+    return cfg
+
+
+class Popping(deque):
+    """The explorer's queue, noting the node it pops in `current[0]` (a
+    plan's options, wrapped, note the option being taken in `current[1]`)."""
+
+    current: list = [None, None]
+
+    def popleft(self):
+        self.current[:] = [super().popleft(), None]
+        return self.current[0]
+
+
+@functools.cache
+def explored_states() -> tuple[list, list]:
+    """`(search, state, key)` for every state the explorer keys, and
+    `(state, redexes)` for every state it plans, with the redexes of the plan
+    it reads (from its threads' ids), in a depth-10 search of each corpus
+    composition and random party set.
+
+    The explorer builds no successor it does not need, so each state is
+    materialised here afterwards, from the node being expanded and the plan
+    option being taken.
     """
-    keyed = []
-    key, plan_of = runtime.configuration_key, runtime.redex_plan
-    current: list = []  # [state being expanded, its plan, option being taken]
+    keyed, planned = [], []
+    key, plan_of, current = runtime.configuration_key, runtime._plan, Popping.current
 
     def record_key(*args):
         result = key(*args)
-        cfg, plan, option = current
-        state = cfg if option is None else runtime._reduce(cfg, plan.build(*option))[0]
-        keyed.append((search, state, result))
+        keyed.append((search, *current, result))
         return result
 
-    def noting_plan(cfg):
-        plan = plan_of(cfg)
+    def noting_plan(threads, facts):
+        plan = plan_of(threads, facts)
+        planned.append((search, current[0], plan.redexes()))
         options = plan.options
 
         def noted():
             for option in options():
-                current[:] = [cfg, plan, option]
+                current[1] = option
                 yield option
 
         plan.options = noted
         return plan
 
-    runtime.configuration_key, runtime.redex_plan = record_key, noting_plan
+    configs = corpus_configs() + party_configs(229)
+    runtime.configuration_key, runtime._plan, runtime.deque = record_key, noting_plan, Popping
     try:
-        for search, cfg in enumerate(corpus_configs() + party_configs(229)):
-            current[:] = [cfg, None, None]
+        for search, cfg in enumerate(configs):
+            current[:] = [None, None]
             run(cfg, Exhaustive(10))
     finally:
-        runtime.configuration_key, runtime.redex_plan = key, plan_of
-    return keyed
+        runtime.configuration_key, runtime._plan, runtime.deque = key, plan_of, deque
+    memos = [{} for _ in configs]
+    states = []
+    for search, node, option, result in keyed:
+        cfg0 = configs[search]
+        state = cfg0 if node is None else materialise(cfg0, node, memos[search])
+        if option is not None:
+            state = step(state, redex_for(state, *option))[0]
+        states.append((search, state, result))
+    return states, [(materialise(configs[search], node, memos[search]), redexes) for search, node, redexes in planned]
 
 
 def test_explorer_id_keys_partition_states_like_the_keys():
@@ -167,7 +213,7 @@ def test_explorer_id_keys_partition_states_like_the_keys():
     by_ids: dict = {}
     back: dict = {}
     restricted = 0
-    for search, cfg, fast in explored_states():
+    for search, cfg, fast in explored_states()[0]:
         fast, slow = (search, fast), (search, printed_configuration_key(cfg))
         assert by_ids.setdefault(fast, slow) == slow
         assert back.setdefault(slow, fast) == fast
@@ -176,10 +222,15 @@ def test_explorer_id_keys_partition_states_like_the_keys():
 
 
 def test_redex_plan_counts_and_builds_the_reference_order():
-    for _, cfg, _ in explored_states():
+    keyed, planned = explored_states()
+    for _, cfg, _ in keyed:
         plan, expected = redex_plan(cfg), naive_enumerate_redexes(cfg)
         assert len(plan) == len(expected)
         assert tuple(plan.redex(k) for k in range(len(plan))) == expected
+    # The plan the explorer reads from its threads' ids is the plan of the state.
+    for cfg, redexes in planned:
+        assert redexes == redex_plan(cfg).redexes()
+    assert len(keyed) > 1000 and len(planned) > 1000
 
 
 def eager_explore(cfg0, depth: int) -> list[Outcome]:
@@ -232,16 +283,17 @@ def test_redex_order_matches_the_all_pairs_reference():
     assert compared > 3 * DRAWS
 
 
-def explore_queued(explore, module, monkeypatch, cfg, depth: int):
+def explore_queued(explore, module, monkeypatch, cfg, depth: int, state=lambda entry: entry[0]):
     """`explore(cfg, depth)`, and the states it queued in order.
 
-    `module` is where `explore` looks up `deque`.
+    `module` is where `explore` looks up `deque`; `state` gives the state
+    of a queue entry once the search is over.
     """
     queued: list = []
 
     class Recording(deque):
         def append(self, entry):
-            queued.append(entry[0])
+            queued.append(entry)
             super().append(entry)
 
     def recording(entries):
@@ -252,16 +304,31 @@ def explore_queued(explore, module, monkeypatch, cfg, depth: int):
 
     with monkeypatch.context() as patch:
         patch.setattr(module, "deque", recording)
-        return explore(cfg, depth), queued
+        report = explore(cfg, depth)
+    return report, list(map(state, queued))
+
+
+def explore_nodes(monkeypatch, cfg, depth: int):
+    """`run(cfg, Exhaustive(depth))`, and the states its queued nodes stand for."""
+    memo: dict = {}
+    explore = lambda c, d: run(c, Exhaustive(d))
+    return explore_queued(explore, runtime, monkeypatch, cfg, depth, lambda node: materialise(cfg, node, memo))
 
 
 def assert_explores_like_the_reference(monkeypatch, cfg, depth: int):
-    report, queued = explore_queued(lambda c, d: run(c, Exhaustive(d)), runtime, monkeypatch, cfg, depth)
+    report, queued = explore_nodes(monkeypatch, cfg, depth)
     expected, expected_queued = explore_queued(reference_explore, oracles, monkeypatch, cfg, depth)
     assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
     assert [o.halt for o in report.outcomes] == [o.halt for o in expected.outcomes]
     assert list(map(printed_configuration_key, queued)) == list(map(printed_configuration_key, expected_queued))
     return len(queued)
+
+
+# A head on a name restricted inside a thread is matched by the name as
+# written, so threads with the same canonical form can differ in whether a
+# replica is useful: here `x?().0` keeps the replica useful and the search
+# reaches only `depth-exceeded`.  Its plan is read from the configuration.
+BOUND_HEAD = "chan x : dyn;\nrun !(new (x:dyn) x!<>.0) | x?().0\n"
 
 
 def test_explorer_queues_the_states_of_the_reference_explorer(monkeypatch):
@@ -274,7 +341,7 @@ def test_explorer_queues_the_states_of_the_reference_explorer(monkeypatch):
     # Keeping restricted names as written queues 8 more states on two_new.gpi;
     # ordering tied threads by id instead of text queues others on tie_pair.gpi.
     two_new, tie_repl, tie_pair, race = restricted_configs()
-    for cfg, depth in ((two_new, 20), (tie_repl, 8), (tie_pair, 10), (race, 40)):
+    for cfg, depth in ((two_new, 20), (tie_repl, 8), (tie_pair, 10), (race, 40), (compile_text(BOUND_HEAD), 6)):
         assert_explores_like_the_reference(monkeypatch, cfg, depth)
 
 
@@ -283,7 +350,7 @@ def test_no_two_states_queued_are_alpha_equivalent_when_names_are_spelt_apart(mo
     # queues 19 states here, two of them alpha-equivalent: their texts differ
     # only in the spelling of a bound name.  The witnesses stay the same.
     cfg = compile_corpus("spell.gpi")
-    report, queued = explore_queued(lambda c, d: run(c, Exhaustive(d)), runtime, monkeypatch, cfg, 8)
+    report, queued = explore_nodes(monkeypatch, cfg, 8)
     assert len(queued) == 18
     assert not any(alpha_equivalent_configurations(a, b) for k, a in enumerate(queued) for b in queued[k + 1 :])
     expected = reference_explore(cfg, 8)
@@ -291,71 +358,89 @@ def test_no_two_states_queued_are_alpha_equivalent_when_names_are_spelt_apart(mo
 
 
 def test_move_that_hoists_a_restriction_is_learnt_as_restricting(monkeypatch):
-    # A hoisting move is applied each time it is taken, since the fresh name
-    # it picks depends on the whole state.  Any other move is learnt once,
-    # from a restricted parent too.  A move's signature is its participants'
-    # canonical forms (their ids) and, for one thread, its kind.
+    # A hoisting move is applied to the state each time it is taken, since
+    # the fresh name it picks depends on the whole state.  Every move is
+    # learnt once, from a restricted parent too.  A move's signature is its
+    # participants' canonical forms (their ids) and, for one thread, its kind.
     cfg = compile_corpus("extrusion_receivers.gpi", "extrusion_senders.gpi")
     assert not cfg.restrictions
     taken: Counter = Counter()
     learnt: Counter = Counter()
-    hoisting = set()
+    hoisted: Counter = Counter()
     from_restricted = set()
-    learn, plan_of = runtime._learn_move, runtime.redex_plan
+    learn, reduce, plan_of = runtime._learn_move, runtime._reduce, runtime._plan
 
-    def signature(cfg, i, option):
-        return canonical(cfg.threads[i]), option if isinstance(option, str) else canonical(cfg.threads[option])
-
-    def record(cfg, redex, table):
-        succ, move = learn(cfg, redex, table)
+    def signature(threads, redex):
         i, *partner = redex.participants
-        key = signature(cfg, i, partner[0] if partner else redex.kind)
-        learnt[key] += 1
-        if len(succ.restrictions) > len(cfg.restrictions):
-            hoisting.add(key)
-        elif cfg.restrictions:
-            from_restricted.add(key)
-        return succ, move
+        return canonical(threads[i]), canonical(threads[partner[0]]) if partner else redex.kind
 
-    def noting_plan(cfg):
-        plan = plan_of(cfg)
+    def record_learn(table, redex, threads):
+        learnt[signature(threads, redex)] += 1
+        return learn(table, redex, threads)
+
+    def record_reduce(cfg, redex):
+        result = reduce(cfg, redex)
+        if len(result[0].restrictions) > len(cfg.restrictions):
+            hoisted[signature(cfg.threads, redex)] += 1
+        return result
+
+    def noting_plan(threads, facts):
+        plan = plan_of(threads, facts)
         options = plan.options
+        restricted = bool(Popping.current[0].restrictions)
 
         def noted():
             for i, option in options():
-                taken[signature(cfg, i, option)] += 1
+                key = signature(threads, plan.build(i, option))
+                taken[key] += 1
+                if restricted:
+                    from_restricted.add(key)
                 yield i, option
 
         plan.options = noted
         return plan
 
-    monkeypatch.setattr(runtime, "_learn_move", record)
-    monkeypatch.setattr(runtime, "redex_plan", noting_plan)
-    report = run(cfg, Exhaustive(20))
-    assert any(taken[key] > 1 for key in hoisting)
+    with monkeypatch.context() as patch:
+        patch.setattr(runtime, "_learn_move", record_learn)
+        patch.setattr(runtime, "_reduce", record_reduce)
+        patch.setattr(runtime, "_plan", noting_plan)
+        patch.setattr(runtime, "deque", Popping)
+        run(cfg, Exhaustive(20), trace=False)  # no witness replayed
+    from_restricted -= set(hoisted)
+    assert any(taken[key] > 1 for key in hoisted)
     assert any(taken[key] > 1 for key in from_restricted)
-    assert all(learnt[key] == (taken[key] if key in hoisting else 1) for key in taken)
-    expected = reference_explore(cfg, 20)
+    assert learnt == Counter(set(taken))
+    assert all(hoisted[key] == taken[key] for key in hoisted)
+    report, expected = run(cfg, Exhaustive(20)), reference_explore(cfg, 20)
     assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
     assert [o.halt for o in report.outcomes] == [o.halt for o in expected.outcomes]
 
 
 def test_explorer_reduces_and_canonicalises_only_new_work(monkeypatch):
     # Building every successor takes 14,152 `_reduce` calls on the 4x4 race,
-    # with or without `new (a:dyn)`.
+    # with or without `new (a:dyn)`, and building each successor queued for
+    # the first time 1,578.  A configuration is built only to learn a move,
+    # apply a hoisting move, read a witness's halt or replay a witness.
     race4 = compile_corpus("dyn_race4.gpi")
     for cfg in (race4, compile_corpus("dyn_race.gpi"), under_new(race4)):
         reduced = []
         forms = []
-        moves = []
+        learnt = []
         reduce, canonicalise, learn = runtime._reduce, runtime.canonical, runtime._learn_move
+
+        def record_reduce(cfg, redex):
+            result = reduce(cfg, redex)
+            reduced.append(len(result[0].restrictions) > len(cfg.restrictions))
+            return result
+
         with monkeypatch.context() as patch:
-            patch.setattr(runtime, "_reduce", lambda *args: reduced.append(1) or reduce(*args))
+            patch.setattr(runtime, "_reduce", record_reduce)
             patch.setattr(runtime, "canonical", lambda thread: forms.append(thread) or canonicalise(thread))
-            patch.setattr(runtime, "_learn_move", lambda *args: moves.append(1) or learn(*args))
-            report, queued = explore_queued(lambda c, d: run(c, Exhaustive(d)), runtime, monkeypatch, cfg, 40)
+            patch.setattr(runtime, "_learn_move", lambda *args: learnt.append(1) or learn(*args))
+            report = run(cfg, Exhaustive(40))
         replayed = sum(len(outcome.trace) for outcome in report.outcomes)
-        assert len(reduced) <= len(queued) + len(moves) + replayed
+        halted = sum(outcome.status is Status.TYPE_ERROR for outcome in report.outcomes)
+        assert len(reduced) <= len(learnt) + sum(reduced) + halted + replayed
         assert len(forms) == len({canonicalise(thread) for thread in forms})
 
 
