@@ -32,6 +32,7 @@ trace events.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -258,24 +259,23 @@ _OTHER, _IN, _OUT, _CHOICE, _REP = range(5)  # thread kinds, as the redex order 
 
 
 def _facts(thread: CastProcess) -> tuple:
-    """What the redex order reads of a thread: ``(kind, key, heads, exact)``.
+    """What the redex order reads of a thread: ``(kind, key, heads, paired)``.
 
     ``key`` is the channel key ``(base, index, arity)`` of an input or
-    output; ``heads`` are the thread's heads.  A top-level subject is free,
-    so alpha-equivalent threads have the same facts, unless a head's
-    channel is restricted inside the thread: then ``exact`` is false.
+    output; ``heads`` and ``paired`` are as ``_heads`` gives them.  A
+    top-level subject is free, so alpha-equivalent threads have the same
+    facts.
     """
     if isinstance(thread, CInput):
         kind, direction, arity = _IN, "in", len(thread.binders)
     elif isinstance(thread, COutput):
         kind, direction, arity = _OUT, "out", len(thread.args)
     else:
-        heads: set[_Head] = set()
-        exact = _heads(thread, heads)  # a replicated thread's heads are its body's
+        heads, paired = _heads(thread)  # a replicated thread's heads are its body's
         kind = _CHOICE if isinstance(thread, CChoice) else _REP if isinstance(thread, CReplicate) else _OTHER
-        return kind, None, tuple(heads), exact
+        return kind, None, heads, paired
     key = (thread.subject.base.base, thread.subject.base.index, arity)
-    return kind, key, ((direction, *key),), True
+    return kind, key, ((direction, *key),), False
 
 
 class RedexPlan:
@@ -334,8 +334,11 @@ def _plan(threads: Sequence[CastProcess], facts: Sequence[tuple]) -> RedexPlan:
 
     Redexes are ordered by thread index (the input's, for a pair), then
     kind (communication, choice-left, choice-right, replicate), then the
-    partner output's index.  Sequential runs pick by position in this
-    order, kept by a ``ThreadIndex`` between steps.  The exhaustive explorer
+    partner output's index.  A replicated thread is offered when two heads
+    under one ``new`` inside it could meet, or when one of its heads on a
+    free name has a partner among all threads' heads on free names.
+    Sequential runs pick by position in this order, kept by a
+    ``ThreadIndex`` between steps.  The exhaustive explorer
     passes canonical forms as ``threads``: a plan reads only their subjects,
     to build a redex, and a form's subject is its thread's.
     """
@@ -344,7 +347,7 @@ def _plan(threads: Sequence[CastProcess], facts: Sequence[tuple]) -> RedexPlan:
     outputs: dict[tuple[str, int, int], list[int]] = {}
     pool: Optional[set[_Head]] = None
     entries: list[tuple[int, Sequence]] = []
-    for i, (kind, key, heads, _) in enumerate(facts):
+    for i, (kind, key, heads, paired) in enumerate(facts):
         if kind == _OUT:
             partners = outputs.get(key)
             if partners is None:
@@ -359,9 +362,9 @@ def _plan(threads: Sequence[CastProcess], facts: Sequence[tuple]) -> RedexPlan:
         elif kind == _CHOICE:
             entries.append((i, _CHOICE_KINDS))
         elif kind == _REP:
-            if pool is None:  # every thread's heads: a copy can also pair with its original
+            if pool is None and not paired:  # every thread's free heads: a copy can also pair with its original
                 pool = {head for thread in facts for head in thread[2]}
-            if not pool.isdisjoint(_partner_heads(heads)):  # a fresh copy could meet a partner
+            if paired or not pool.isdisjoint(_partner_heads(heads)):  # a fresh copy could meet a partner
                 entries.append((i, _REPLICATE_KINDS))
     return RedexPlan(threads, [entry for entry in entries if entry[1]])
 
@@ -374,29 +377,35 @@ def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
 _Head = tuple[str, str, int, int]  # direction, channel base and index, arity
 
 
-def _heads(term: CastProcess, acc: set[_Head]) -> bool:
+def _heads(term: CastProcess) -> tuple[tuple[_Head, ...], bool]:
     """Input/output prefixes reachable without consuming any prefix.
 
-    A head keys its channel by the name's fields, whose hashes are cheaper
-    than a Name's.  Returns whether no head's channel is a name restricted
-    on the way (``acc`` must start empty for that).
+    Returns the heads on free names, each keyed by the name's fields (whose
+    hashes are cheaper than a Name's), and whether two heads on a name
+    restricted on the way, keyed by the ``new`` that binds it, could meet.
+    Each copy of a replicated thread restricts fresh names, so a head on
+    one can meet only heads under the same ``new`` in the same copy.
     """
-    restricted = []
-    stack = [term]
+    free: set[_Head] = set()
+    bound: set[tuple[str, int, int]] = set()  # direction, the binding ``new``'s number, arity
+    news = itertools.count()
+    stack: list[tuple[CastProcess, dict[Name, int]]] = [(term, {})]
     while stack:
-        match stack.pop():
-            case CInput(c, binders, _):
-                acc.add(("in", c.base.base, c.base.index, len(binders)))
-            case COutput(c, args, _):
-                acc.add(("out", c.base.base, c.base.index, len(args)))
+        term, scope = stack.pop()
+        match term:
+            case CInput(CastChannel(name), items, _) | COutput(CastChannel(name), items, _):
+                direction = "in" if isinstance(term, CInput) else "out"
+                if name in scope:
+                    bound.add((direction, scope[name], len(items)))
+                else:
+                    free.add((direction, name.base, name.index, len(items)))
             case CPar(l, r) | CChoice(l, r):
-                stack += (l, r)
+                stack += ((l, scope), (r, scope))
             case CRestrict(x, _, body):
-                restricted.append((x.base, x.index))
-                stack.append(body)
+                stack.append((body, {**scope, x: next(news)}))
             case CReplicate(body):
-                stack.append(body)
-    return not any(head[1:3] in restricted for head in acc)
+                stack.append((body, scope))
+    return tuple(free), any(("out", new, n) in bound for direction, new, n in bound if direction == "in")
 
 
 def _partner_heads(heads: Iterable[_Head]) -> tuple[_Head, ...]:
@@ -570,16 +579,14 @@ class IdTable:
 
     Each thread asked for is also mapped to its form's id, so no thread is
     put in canonical form twice.  A form's redex-order facts (``_facts``)
-    are kept beside it, and the ids whose facts are not exact are collected
-    in ``inexact``.  A form's text and free names are computed the first
-    time a key of a restricted state needs them.
+    are kept beside it.  A form's text and free names are computed the
+    first time a key of a restricted state needs them.
     """
 
     def __init__(self) -> None:
         self._ids: dict[CastProcess, int] = {}
         self.forms: list[CastProcess] = []
         self.facts: list[tuple] = []
-        self.inexact: set[int] = set()
         self._info: dict[int, tuple[str, tuple[Name, ...]]] = {}
         self._renamed: dict[tuple[int, tuple[Optional[int], ...]], int] = {}
 
@@ -592,8 +599,6 @@ class IdTable:
             if found == len(self.forms):
                 self.forms.append(form)
                 self.facts.append(_facts(form))
-                if not self.facts[-1][3]:  # a head on a name restricted inside the form
-                    self.inexact.add(found)
         return found
 
     def info(self, i: int) -> tuple[str, tuple[Name, ...]]:
@@ -770,9 +775,8 @@ def _run_exhaustive(cfg0: Configuration, depth: int, trace: bool) -> RunReport:
     one thread, its kind); the successor's ids are spliced from its
     parent's.  A configuration is built only to apply a move that hoists a
     restriction (every time it is taken, since the fresh name it picks
-    depends on the whole state), to read a witness's halt, or to plan a
-    state whose facts are not all exact; the witnesses' traces are rendered
-    by replaying their paths from ``cfg0``.
+    depends on the whole state) or to read a witness's halt; the witnesses'
+    traces are rendered by replaying their paths from ``cfg0``.
     """
     witnesses: dict[Status, tuple[Halt, _Node]] = {}
     table = IdTable()
@@ -789,12 +793,8 @@ def _run_exhaustive(cfg0: Configuration, depth: int, trace: bool) -> RunReport:
             if node.status not in witnesses:
                 witnesses[node.status] = (node.configuration().halted, node)
             continue
-        if table.inexact.isdisjoint(ids):
-            threads = [forms[k] for k in ids]
-            plan = _plan(threads, [facts[k] for k in ids])
-        else:  # heads on names restricted inside a thread are matched as written
-            plan = redex_plan(node.configuration())
-            threads = node.cfg.threads
+        threads = [forms[k] for k in ids]
+        plan = _plan(threads, [facts[k] for k in ids])
         if not plan:
             witnesses.setdefault(Status.NORMAL_STUCK, (Halt(Status.NORMAL_STUCK), node))
             continue

@@ -15,7 +15,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Union
 
 
 class Capability(enum.Enum):
@@ -68,11 +68,10 @@ class Name:
         return self.base if self.index == 0 else f"{self.base}'{self.index}"
 
 
-def fresh_name(like: Name, avoid: Iterable[Name]) -> Name:
+def fresh_name(like: Name, avoid: Container[Name]) -> Name:
     """Smallest index bump of ``like`` that avoids every name in ``avoid``."""
-    taken = set(avoid)
     k = like.index + 1
-    while Name(like.base, k) in taken:
+    while Name(like.base, k) in avoid:
         k += 1
     return Name(like.base, k)
 

@@ -72,13 +72,12 @@ class ThreadIndex:
     date in O(1) per thread that enters or leaves.  ``redex(k)`` walks the
     blocks' weights, then one block, in the order of ``redex_plan``; it finds
     an input's partner, the k-th output on its key, the same way.  A
-    replicated thread is offered when a copy could meet a partner among the
-    heads of all threads (``_unfold_useful``): the heads are kept as a
-    multiset, and a replicated thread's usefulness is recomputed only when
-    a head it needs appears or disappears.  So a step costs O(sqrt n) in
-    the thread count n, except a step that hoists a restriction, which
-    scans every thread for the names in use (as ``_rebuild`` does, picking
-    the same fresh names).
+    replicated thread is offered by the rule of ``runtime._plan``: the heads
+    on free names are kept as a multiset, and a replicated thread's
+    usefulness is recomputed only when a head it needs appears or
+    disappears.  So a step costs O(sqrt n) in the thread count n, except a
+    step that hoists a restriction, which scans every thread for the names
+    in use (as ``_rebuild`` does, picking the same fresh names).
 
     Per-thread facts are kept by object identity (a term's hash recurses
     over it) for as long as some position holds the thread, so the index
@@ -94,7 +93,7 @@ class ThreadIndex:
         self._useful: dict[int, int] = {}  # id(replicated thread) -> 1 if a copy could meet a partner
         self._needs: dict[int, tuple[_Head, ...]] = {}  # id(replicated thread) -> heads a copy could meet
         self._needers: dict[_Head, set[int]] = {}  # head -> replicated threads that need it
-        self._heads: dict[_Head, int] = {}  # head -> threads that have it
+        self._heads: dict[_Head, int] = {}  # head on a free name -> threads that have it
         self._count = 0
         self._n = len(cfg.threads)
         self._size = max(_MIN_BLOCK, isqrt(self._n))
@@ -110,13 +109,13 @@ class ThreadIndex:
         entry = self._live.get(id(thread))
         if entry is not None:
             return entry[0]
-        kind, key, heads, _ = _facts(thread)
+        kind, key, heads, paired = _facts(thread)
         if kind == _REP:
             key = id(thread)
-            needs = self._needs[key] = _partner_heads(heads)
+            needs = self._needs[key] = () if paired else _partner_heads(heads)  # a paired one is always useful
             for head in needs:
                 self._needers.setdefault(head, set()).add(key)
-            self._useful[key] = int(any(self._heads.get(head) for head in needs))
+            self._useful[key] = int(paired or any(self._heads.get(head) for head in needs))
         item = ((kind, key), thread, heads)
         self._live[id(thread)] = [item, 0]
         return item

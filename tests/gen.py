@@ -200,13 +200,16 @@ def random_party(
     allow_dyn: bool = False,
     allow_reverse: bool = False,
     fuel: int = 5,
+    allow_new: bool = False,
 ) -> tuple[TypeEnv, SurfaceProcess]:
     """One well-typed party over the shared world.
 
     With ``allow_dyn`` off, each world channel gets one fixed polarity per
     party, so the party also checks under the equality-based reference
     judgement.  With it on, some channels are declared dyn and may be used
-    in both polarities.
+    in both polarities.  With ``allow_new`` on, a replicated body or a
+    choice branch is sometimes put under a ``new`` of a dyn channel with a
+    world channel's payload, spelt like that world channel half the time.
     """
     values = {Name(f"v{k}"): t for k, t in enumerate(_VALUE_TYPES)}
     decls: dict[Name, Type] = {}
@@ -229,25 +232,37 @@ def random_party(
                 return candidate
         return rng.choice(local) if local else None
 
-    def gen(fuel: int, scope: dict[Name, Type]) -> SurfaceProcess:
+    def under_new(fuel: int, scope: dict[Name, Type], local: dict[Name, tuple[Type, ...]]) -> SurfaceProcess:
+        """A replicated body or choice branch, with ``allow_new`` sometimes
+        under a ``new``; ``local`` maps restricted channels to payloads."""
+        if allow_new and rng.random() < 0.25:
+            like = rng.choice(sorted(world))
+            name = like if rng.random() < 0.5 else Name(f"n{len(local)}")
+            return Restrict(name, DYN, gen(fuel, scope, {**local, name: world[like]}))
+        return gen(fuel, scope, local)
+
+    def gen(fuel: int, scope: dict[Name, Type], local: dict[Name, tuple[Type, ...]]) -> SurfaceProcess:
         if fuel <= 0:
             return Nil()
         roll = rng.random()
         if roll < 0.10:
             return Nil()
         if roll < 0.28:
-            node = Par if rng.random() < 0.5 else Choice
-            return node(gen(fuel // 2, scope), gen(fuel // 2, scope))
+            if rng.random() < 0.5:
+                return Par(gen(fuel // 2, scope, local), gen(fuel // 2, scope, local))
+            return Choice(under_new(fuel // 2, scope, local), under_new(fuel // 2, scope, local))
         if roll < 0.33:
-            return Replicate(gen(fuel - 1, scope))
-        channel = rng.choice(sorted(world))
-        payload = world[channel]
-        declared = decls[channel]
+            return Replicate(under_new(fuel - 1, scope, local))
+        channel = rng.choice(sorted(world.keys() | local.keys()))
+        if channel in local:
+            payload, declared = local[channel], DYN
+        else:
+            payload, declared = world[channel], decls[channel]
+            used.add(channel)
         if isinstance(declared, Dyn):
             want_input = rng.random() < 0.5
         else:
             want_input = declared.cap is Capability.IN
-        used.add(channel)
         if want_input:
             taken = set(scope) | set(decls) | set(values)
             binders = []
@@ -257,7 +272,7 @@ def random_party(
                 binders.append((name, ty))
             inner = dict(scope)
             inner.update(binders)
-            return Input(channel, tuple(binders), gen(fuel - 1, inner))
+            return Input(channel, tuple(binders), gen(fuel - 1, inner, local))
         args = []
         for ty in payload:
             arg = value_arg(ty, scope)
@@ -265,19 +280,19 @@ def random_party(
                 return Nil()
             args.append(arg)
         node = ReverseOutput if allow_reverse and rng.random() < 0.3 else Output
-        return node(channel, tuple(args), gen(fuel - 1, scope))
+        return node(channel, tuple(args), gen(fuel - 1, scope, local))
 
-    proc = gen(fuel, {})
+    proc = gen(fuel, {}, {})
     bindings = tuple(sorted((n, t) for n, t in decls.items() if n in used))
     return TypeEnv(bindings), proc
 
 
 def random_party_set(
-    rng: random.Random, allow_dyn: bool = False, allow_reverse: bool = False
+    rng: random.Random, allow_dyn: bool = False, allow_reverse: bool = False, allow_new: bool = False
 ) -> list[tuple[TypeEnv, SurfaceProcess]]:
     world = make_world(rng)
     return [
-        random_party(rng, world, allow_dyn=allow_dyn, allow_reverse=allow_reverse)
+        random_party(rng, world, allow_dyn=allow_dyn, allow_reverse=allow_reverse, allow_new=allow_new)
         for _ in range(rng.randint(1, 3))
     ]
 

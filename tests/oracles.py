@@ -331,21 +331,31 @@ def _replay(cfg: Configuration, path: Optional[tuple]) -> tuple[TraceEvent, ...]
     return tuple(events)
 
 
-def _heads(term: Process) -> list[tuple[str, Name, int]]:
+def _heads(term: Process, scope: Mapping[Name, object] = {}) -> list[tuple[str, object, int]]:
+    """A term's heads; a head's channel is its name if free, else a token
+    made afresh for the `new` that binds it, so heads under different
+    `new`s, or in different calls, never share a channel."""
     match term:
         case CInput(c, binders, _):
-            return [("in", c.base, len(binders))]
+            return [("in", scope.get(c.base, c.base), len(binders))]
         case COutput(c, args, _):
-            return [("out", c.base, len(args))]
+            return [("out", scope.get(c.base, c.base), len(args))]
         case CPar(l, r) | CChoice(l, r):
-            return _heads(l) + _heads(r)
-        case CRestrict(_, _, body) | CReplicate(body):
-            return _heads(body)
+            return _heads(l, scope) + _heads(r, scope)
+        case CRestrict(x, _, body):
+            return _heads(body, {**scope, x: object()})
+        case CReplicate(body):
+            return _heads(body, scope)
     return []
 
 
 def naive_enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
-    """Every input paired with every output, single-thread redexes, then sorted."""
+    """Every input paired with every output, single-thread redexes, then sorted.
+
+    A replica is unfolded when a head of its body has a partner among the
+    body's heads or the other threads' heads.  A copy's restricted names
+    are fresh, so a head on one can meet only a head under the same `new`.
+    """
     if cfg.halted is not None:
         return ()
     threads = list(enumerate(cfg.threads))

@@ -289,6 +289,13 @@ def test_negative_budget_is_usage_error(capsys):
         assert code == 5 and out.endswith(("HALT: depth-exceeded\n", "HALT: max-steps\n"))
 
 
+def test_replica_whose_head_is_on_its_own_new_name_is_not_unfolded(capsys):
+    # Each copy's `x` is fresh, so it never meets the free `x?().0`.
+    for mode in (("--mode", "seeded"), ("--mode", "exhaustive", "--depth", "6")):
+        code, out, _ = run_cli(capsys, "run", corpus("bound_head.gpi"), *mode)
+        assert code == 0 and out.endswith("HALT: normal-stuck\n")
+
+
 def test_run_composition_rejects_ill_typed_party(capsys):
     code, _, _ = run_cli(capsys, "run", corpus("client.gpi"), corpus("sneaky_client.gpi"))
     assert code == 1

@@ -34,6 +34,7 @@ from gradualpi.runtime import (
     IdTable,
     Outcome,
     Redex,
+    Seeded,
     Status,
     enumerate_redexes,
     format_trace,
@@ -74,12 +75,15 @@ def party_configs(seed: int, count: int = DRAWS):
     """`count` compositions of well-typed random parties, some with `dyn`.
 
     Every other composition has one to three of its free channels
-    restricted, so that keys with restricted names are exercised too.
+    restricted, so that keys with restricted names are exercised too, and
+    some replicated bodies and choice branches are under a `new`, so that
+    heads on names restricted inside a thread are too.
     """
     rng = random.Random(seed)
     configs = []
     while len(configs) < count:
-        parties = [(env, proc) for env, proc in random_party_set(rng, allow_dyn=True) if check(env, proc).ok]
+        drawn = random_party_set(rng, allow_dyn=True, allow_new=True)
+        parties = [(env, proc) for env, proc in drawn if check(env, proc).ok]
         if not parties:
             continue
         compiled = [insert_casts(env, proc).proc for env, proc in parties]
@@ -324,11 +328,25 @@ def assert_explores_like_the_reference(monkeypatch, cfg, depth: int):
     return len(queued)
 
 
-# A head on a name restricted inside a thread is matched by the name as
-# written, so threads with the same canonical form can differ in whether a
-# replica is useful: here `x?().0` keeps the replica useful and the search
-# reaches only `depth-exceeded`.  Its plan is read from the configuration.
-BOUND_HEAD = "chan x : dyn;\nrun !(new (x:dyn) x!<>.0) | x?().0\n"
+# Replicas with heads on a name restricted inside them, which meet only
+# heads under the same `new` in the same copy.  Matched by the name as
+# written, the free `x?().0` would keep the first replica useful and the
+# search would reach only `depth-exceeded`; so would the second if the inner
+# `new x` were taken for the outer one.  The third communicates inside
+# each copy, so it keeps unfolding.
+BOUND_HEAD, SHADOWED_HEAD, PAIRED_HEAD = "bound_head.gpi", "shadowed_head.gpi", "paired_head.gpi"
+
+
+def test_a_head_on_a_restricted_name_meets_only_heads_under_its_new():
+    for name in (BOUND_HEAD, SHADOWED_HEAD):
+        cfg = compile_corpus(name)
+        assert run(cfg, Exhaustive(6)).statuses() == (Status.NORMAL_STUCK,)
+        assert run(cfg, Seeded(0)).statuses() == (Status.NORMAL_STUCK,)
+    cfg = compile_corpus(PAIRED_HEAD)
+    report = run(cfg, Exhaustive(6))
+    assert report.statuses() == (Status.DEPTH_EXCEEDED,)
+    assert [event.rule for event in report.outcomes[0].trace] == ["replicate", "c-solve", "comm"] * 2
+    assert run(cfg, Seeded(0, max_steps=50)).statuses() == (Status.MAX_STEPS,)
 
 
 def test_explorer_queues_the_states_of_the_reference_explorer(monkeypatch):
@@ -341,8 +359,10 @@ def test_explorer_queues_the_states_of_the_reference_explorer(monkeypatch):
     # Keeping restricted names as written queues 8 more states on two_new.gpi;
     # ordering tied threads by id instead of text queues others on tie_pair.gpi.
     two_new, tie_repl, tie_pair, race = restricted_configs()
-    for cfg, depth in ((two_new, 20), (tie_repl, 8), (tie_pair, 10), (race, 40), (compile_text(BOUND_HEAD), 6)):
+    for cfg, depth in ((two_new, 20), (tie_repl, 8), (tie_pair, 10), (race, 40)):
         assert_explores_like_the_reference(monkeypatch, cfg, depth)
+    for name in (BOUND_HEAD, SHADOWED_HEAD, PAIRED_HEAD):
+        assert_explores_like_the_reference(monkeypatch, compile_corpus(name), 6)
 
 
 def test_no_two_states_queued_are_alpha_equivalent_when_names_are_spelt_apart(monkeypatch):
@@ -445,13 +465,17 @@ def test_explorer_reduces_and_canonicalises_only_new_work(monkeypatch):
 
 
 # Compositions whose seeded runs hoist restrictions (with fresh names), take
-# choices, and unfold replicas whose usefulness changes as heads come and go.
+# choices, and unfold replicas whose usefulness changes as heads come and go
+# or rests on heads on names restricted inside them.
 INDEXED_CORPUS = RUNNABLE_CORPUS + [
     ("extrusion_receivers.gpi", "extrusion_senders.gpi"),
     ("two_new.gpi",),
     ("tie_pair.gpi",),
     ("tie_repl.gpi",),
     ("dyn_server.gpi",),
+    (BOUND_HEAD,),
+    (SHADOWED_HEAD,),
+    (PAIRED_HEAD,),
 ]
 
 

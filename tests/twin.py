@@ -151,19 +151,23 @@ def _rebuild(cfg: TwinConfig, replacements: dict[int, list[SurfaceProcess]]) -> 
 _KIND_ORDER = {"comm": 0, "choice-left": 1, "choice-right": 2, "replicate": 3}
 
 
-def _heads(term, acc):
+def _heads(term, acc, scope={}):
+    """Append the heads of `term` to `acc`; a head's channel is its name if
+    free, else a token made afresh for the `new` that binds it."""
     match term:
         case Nil():
             return
         case Input(a, binders, _):
-            acc.append(("in", a, len(binders)))
+            acc.append(("in", scope.get(a, a), len(binders)))
         case Output(a, args, _):
-            acc.append(("out", a, len(args)))
+            acc.append(("out", scope.get(a, a), len(args)))
         case Par(l, r) | Choice(l, r):
-            _heads(l, acc)
-            _heads(r, acc)
-        case Restrict(_, _, body) | Replicate(body):
-            _heads(body, acc)
+            _heads(l, acc, scope)
+            _heads(r, acc, scope)
+        case Restrict(x, _, body):
+            _heads(body, acc, {**scope, x: object()})
+        case Replicate(body):
+            _heads(body, acc, scope)
 
 
 def _unfold_useful(cfg: TwinConfig, index: int, thread: Replicate) -> bool:
