@@ -32,9 +32,8 @@ trace events.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -58,7 +57,6 @@ from .syntax import (
     Type,
     canonical,
     free_names,
-    free_occurrences,
     fresh_name,
     substitute,
 )
@@ -375,6 +373,7 @@ def enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
 
 
 _Head = tuple[str, str, int, int]  # direction, channel base and index, arity
+_PAR_JOIN, _CHOICE_JOIN = object(), object()  # ``_heads``' marks: both operands of a ``|`` or ``+`` are done
 
 
 def _heads(term: CastProcess) -> tuple[tuple[_Head, ...], bool]:
@@ -384,28 +383,47 @@ def _heads(term: CastProcess) -> tuple[tuple[_Head, ...], bool]:
     hashes are cheaper than a Name's), and whether two heads on a name
     restricted on the way, keyed by the ``new`` that binds it, could meet.
     Each copy of a replicated thread restricts fresh names, so a head on
-    one can meet only heads under the same ``new`` in the same copy.
+    one can meet only heads under the same ``new`` in the same copy.  Two
+    such heads are a pair where their paths part: at a ``|`` always, and
+    at a ``+`` only if a ``!`` lies between their ``new`` and the ``+``, so
+    that two copies can take opposite branches.  ``new``s are numbered in
+    pre-order, so those above a node precede those below it.
     """
     free: set[_Head] = set()
-    bound: set[tuple[str, int, int]] = set()  # direction, the binding ``new``'s number, arity
-    news = itertools.count()
-    stack: list[tuple[CastProcess, dict[Name, int]]] = [(term, {})]
+    paired = False
+    parts: list[set] = []  # each finished operand's heads on restricted names: (direction, new, arity)
+    news = 0
+    # (term or join mark, scope, the number of ``new``s entered before the nearest ``!`` above)
+    stack: list[tuple] = [(term, {}, 0)]
     while stack:
-        term, scope = stack.pop()
+        term, scope, replicated = stack.pop()
+        if term is _PAR_JOIN or term is _CHOICE_JOIN:
+            small, large = sorted((parts.pop(), parts.pop()), key=len)
+            for d, new, n in small:
+                partner = ("in" if d == "out" else "out", new, n)
+                paired = paired or partner in large and (term is _PAR_JOIN or new < replicated)
+            large |= small
+            parts.append(large)
+            continue
         match term:
             case CInput(CastChannel(name), items, _) | COutput(CastChannel(name), items, _):
                 direction = "in" if isinstance(term, CInput) else "out"
                 if name in scope:
-                    bound.add((direction, scope[name], len(items)))
+                    parts.append({(direction, scope[name], len(items))})
                 else:
                     free.add((direction, name.base, name.index, len(items)))
+                    parts.append(set())
             case CPar(l, r) | CChoice(l, r):
-                stack += ((l, scope), (r, scope))
+                join = _PAR_JOIN if isinstance(term, CPar) else _CHOICE_JOIN
+                stack += ((join, None, replicated), (r, scope, replicated), (l, scope, replicated))
             case CRestrict(x, _, body):
-                stack.append((body, {**scope, x: next(news)}))
+                stack.append((body, {**scope, x: news}, replicated))
+                news += 1
             case CReplicate(body):
-                stack.append((body, scope))
-    return tuple(free), any(("out", new, n) in bound for direction, new, n in bound if direction == "in")
+                stack.append((body, scope, news))
+            case _:
+                parts.append(set())
+    return tuple(free), paired
 
 
 def _partner_heads(heads: Iterable[_Head]) -> tuple[_Head, ...]:
@@ -579,69 +597,37 @@ class IdTable:
 
     Each thread asked for is also mapped to its form's id, so no thread is
     put in canonical form twice.  A form's redex-order facts (``_facts``)
-    are kept beside it.  A form's text and free names are computed the
-    first time a key of a restricted state needs them.
+    are kept beside it; the search's state keys read the forms by id.
     """
 
     def __init__(self) -> None:
+        from .symmetry import StateKeys  # compiled on the first exhaustive run only
+
         self._ids: dict[CastProcess, int] = {}
         self.forms: list[CastProcess] = []
         self.facts: list[tuple] = []
-        self._info: dict[int, tuple[str, tuple[Name, ...]]] = {}
-        self._renamed: dict[tuple[int, tuple[Optional[int], ...]], int] = {}
+        self.keys = StateKeys(self.forms)
 
-    def intern(self, thread: CastProcess, form: Optional[CastProcess] = None) -> int:
-        """The id of ``thread``'s canonical form, which is ``form`` when given."""
+    def intern(self, thread: CastProcess) -> int:
+        """The id of ``thread``'s canonical form."""
         found = self._ids.get(thread)
         if found is None:
-            form = canonical(thread) if form is None else form
+            form = canonical(thread)
             found = self._ids[thread] = self._ids.setdefault(form, len(self.forms))
             if found == len(self.forms):
                 self.forms.append(form)
                 self.facts.append(_facts(form))
         return found
 
-    def info(self, i: int) -> tuple[str, tuple[Name, ...]]:
-        """Form ``i``'s printed text and its free names in first-use order."""
-        if i not in self._info:
-            form = self.forms[i]
-            self._info[i] = print_cast(form), tuple(dict.fromkeys(name for name, _ in free_occurrences(form)))
-        return self._info[i]
-
-    def renamed(self, i: int, numbers: Mapping[Name, int]) -> int:
-        """The id of form ``i`` with each name in ``numbers`` replaced by ``#r``
-        with its number.  Bound names are ``#b``s, so nothing is captured and
-        the result is in canonical form."""
-        free = self.info(i)[1]
-        key = (i, tuple(numbers.get(name) for name in free))
-        if key not in self._renamed:
-            mapping = {name: CastChannel(Name("#r", k)) for name, k in zip(free, key[1]) if k is not None}
-            form = substitute(self.forms[i], mapping)
-            self._renamed[key] = self.intern(form, form) if mapping else i
-        return self._renamed[key]
-
 
 def configuration_key(ids: IdTable, thread_ids: Sequence[int], status: Optional[Status], restrictions) -> Hashable:
-    """A key equal only for alpha-equivalent states, from their threads' ids.
-
-    Without restrictions it is the sorted ids and the halt status.  Otherwise
-    restricted names are numbered by first use over the threads ordered by
-    text with restricted names masked (all numbered 0), then by text; ties
-    can split alpha-equivalent states, which weakens deduplication but never
-    corrupts it.  The key holds the renamed threads' ids and the types.
-    """
-    if not restrictions:
-        return tuple(sorted(thread_ids)), status
-    masked = dict.fromkeys((name for name, _ in restrictions), 0)
-    rename: dict[Name, int] = {}
-    for i in sorted(set(thread_ids), key=lambda i: (ids.info(ids.renamed(i, masked))[0], ids.info(i)[0])):
-        for name in ids.info(i)[1]:
-            if name in masked:
-                rename.setdefault(name, len(rename))
-    threads = tuple(sorted(ids.renamed(i, rename) for i in thread_ids))
-    used = frozenset((rename[name], t) for name, t in restrictions if name in rename)
-    unused = frozenset(Counter(t for name, t in restrictions if name not in rename).items())
-    return threads, status, used, unused
+    """A key equal exactly for states related by a permutation of names:
+    free names among themselves, restricted names among themselves and of
+    one type.  A state is its threads' ids, halt status and restrictions.
+    Exact, not merely sound, so that the explorer queues the first state of
+    each orbit of the search up to alpha-equivalence (``_run_exhaustive``);
+    computed once per distinct state of the search (``symmetry.StateKeys``)."""
+    return ids.keys.key(thread_ids, status, restrictions)
 
 
 # --------------------------------------------------------------------------
@@ -764,7 +750,11 @@ def _run_exhaustive(cfg0: Configuration, depth: int, trace: bool) -> RunReport:
     """Breadth-first search over states, one witness per terminal status.
 
     A state is dropped when its key was seen before: under FIFO order the
-    first push of a key is at its least depth.  Every state is a ``_Node``:
+    first push of a key is at its least depth.  Keys merge exactly the
+    states a permutation of names relates (``configuration_key``), so the
+    queue is the first state of each orbit in the queue of the search keyed
+    up to alpha-equivalence, in order and with the same parents (the README
+    argues it, and what it means for witnesses).  Every state is a ``_Node``:
     its threads' canonical forms interned to ids (one ``IdTable`` per run),
     its restrictions, halt status and a parent pointer.  Its redex plan is
     read from the facts memoised per id.  A step that hoists no restriction

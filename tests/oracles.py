@@ -2,23 +2,25 @@
 
 The de Bruijn converter turns a process into a nested-tuple form in which
 bound occurrences are indices; comparing those forms is an alternative
-route to alpha-equivalence, of threads and, over every type-preserving
-bijection of restricted names, of whole states.  The reference printer renames nothing, so it
+route to alpha-equivalence of threads, and, with a state's free names bound
+outermost, a backtracking search decides whether a permutation of names
+relates two states.  The reference printer renames nothing, so it
 is what the printers must produce whenever no two names render alike.  The
-printed state key and the all-pairs redex enumeration are the runtime's
-earlier, slower implementations, kept as references for the structural key
-and the single-pass enumerator.  The character-loop lexer is the parser's
+printed state key, the runtime's earlier key up to alpha-equivalence,
+keys the reference explorers' states, and the all-pairs redex enumeration
+is the runtime's earlier one, kept as the reference for the single-pass
+enumerator.  The character-loop lexer is the parser's
 earlier lexer, kept as the reference for the single-regex one, and the
 recursive-descent process parser is the parser's earlier one, kept as the
 reference for the explicit-stack one.  The recursive free-name scans are
 the reference for the explicit-stack ``free_occurrences``.  The
 reference explorer is the runtime's earlier exhaustive search, which keys
-every successor it builds, kept as the reference for the move-table search.
+every successor it builds up to alpha-equivalence, kept as the reference
+for the move-table search up to name permutation.
 """
 
 from __future__ import annotations
 
-import itertools
 import string
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -170,20 +172,62 @@ def oracle_alpha_equal(p: Process, q: Process) -> bool:
     return debruijn(p) == debruijn(q)
 
 
-def alpha_equivalent_configurations(c1: Configuration, c2: Configuration) -> bool:
-    """Whether two states differ only in bound and restricted names: some
-    type-preserving bijection of their restricted names makes their halt
-    statuses and their multisets of de Bruijn threads equal (the restricted
-    names are the outermost binders, in the bijection's order)."""
-    if (c1.halted and c1.halted.status) != (c2.halted and c2.halted.status):
+def _shaped(thread: CastProcess, kinds: Mapping[Name, str]) -> tuple:
+    """A thread's shape and its free names in first-use order: the shape is
+    its de Bruijn form with those names bound outermost, in that order,
+    and their kinds.  Threads have one shape iff a renaming of free names
+    that keeps kinds maps one onto the other, and it maps the names in
+    order."""
+    names = tuple(dict.fromkeys(free_occurrence_order(thread)))
+    return (debruijn(thread, names), tuple(kinds.get(n, "free") for n in names)), names
+
+
+def _shaped_threads(cfg: Configuration) -> Counter:
+    kinds = {n: f"new:{t}" for n, t in cfg.restrictions}
+    return Counter(_shaped(t, kinds) for t in cfg.threads)
+
+
+def permutation_invariant(cfg: Configuration):
+    """What no renaming of names changes: the multiset of thread shapes,
+    the types of unused restrictions and the halt status."""
+    threads = _shaped_threads(cfg)
+    used = {n for _, names in threads for n in names}
+    unused = Counter(str(t) for n, t in cfg.restrictions if n not in used)
+    shapes = Counter()
+    for (shape, _), count in threads.items():
+        shapes[shape, count] += 1
+    return frozenset(shapes.items()), frozenset(unused.items()), cfg.halted and cfg.halted.status
+
+
+def permutation_related(c1: Configuration, c2: Configuration) -> bool:
+    """Whether a bijection of names, free onto free and restricted onto
+    restricted of the same type, maps one state onto the other (up to
+    alpha-equivalence), found by backtracking over matches of identical
+    threads."""
+    if permutation_invariant(c1) != permutation_invariant(c2):
         return False
-    names, types = tuple(n for n, _ in c2.restrictions), [t for _, t in c2.restrictions]
-    threads = Counter(debruijn(t, names) for t in c2.threads)
-    for order in itertools.permutations(c1.restrictions):
-        if [t for _, t in order] == types:
-            if Counter(debruijn(t, tuple(n for n, _ in order)) for t in c1.threads) == threads:
-                return True
-    return False
+    mine = list(_shaped_threads(c1).items())
+    theirs: dict = {}
+    for (shape, names), count in _shaped_threads(c2).items():
+        theirs.setdefault((shape, count), []).append(names)
+    used: set = set()
+
+    def match(k: int, forward: dict, backward: dict) -> bool:
+        if k == len(mine):
+            return True
+        (shape, names), count = mine[k]
+        for other in theirs[shape, count]:
+            if (shape, other) in used:
+                continue
+            f, b = dict(forward), dict(backward)
+            if all(f.setdefault(x, y) == y and b.setdefault(y, x) == x for x, y in zip(names, other)):
+                used.add((shape, other))
+                if match(k + 1, f, b):
+                    return True
+                used.discard((shape, other))
+        return False
+
+    return match(0, {}, {})
 
 
 def all_names(p: Process) -> set[Name]:
@@ -331,22 +375,37 @@ def _replay(cfg: Configuration, path: Optional[tuple]) -> tuple[TraceEvent, ...]
     return tuple(events)
 
 
-def _heads(term: Process, scope: Mapping[Name, object] = {}) -> list[tuple[str, object, int]]:
-    """A term's heads; a head's channel is its name if free, else a token
-    made afresh for the `new` that binds it, so heads under different
-    `new`s, or in different calls, never share a channel."""
+def _heads(term: Process, scope: Mapping[Name, tuple] = {}) -> list[tuple]:
+    """A term's heads `(direction, channel, arity, sides)`.  A head's
+    channel is its name if free, else a token made afresh for the `new`
+    that binds it, so heads under different `new`s, or in different calls,
+    never share a channel.  `sides` are the sides taken at the `+`s below
+    that `new` and above the first `!` under it: two heads under one `new`
+    that take opposite sides of such a `+` never both occur."""
     match term:
-        case CInput(c, binders, _):
-            return [("in", scope.get(c.base, c.base), len(binders))]
-        case COutput(c, args, _):
-            return [("out", scope.get(c.base, c.base), len(args))]
-        case CPar(l, r) | CChoice(l, r):
+        case CInput(c, items, _) | COutput(c, items, _):
+            direction = "in" if isinstance(term, CInput) else "out"
+            channel, sides, _ = scope.get(c.base, (c.base, frozenset(), False))
+            return [(direction, channel, len(items), sides)]
+        case CPar(l, r):
             return _heads(l, scope) + _heads(r, scope)
+        case CChoice(l, r):
+            choice = object()
+
+            def taking(side):
+                return {n: (c, s | {(choice, side)} if live else s, live) for n, (c, s, live) in scope.items()}
+
+            return _heads(l, taking(0)) + _heads(r, taking(1))
         case CRestrict(x, _, body):
-            return _heads(body, {**scope, x: object()})
+            return _heads(body, {**scope, x: (object(), frozenset(), True)})
         case CReplicate(body):
-            return _heads(body, scope)
+            return _heads(body, {n: (c, s, False) for n, (c, s, _) in scope.items()})
     return []
+
+
+def _could_meet(head, other) -> bool:
+    (d, c, n, sides), (d2, c2, n2, sides2) = head, other
+    return d != d2 and c == c2 and n == n2 and not any((choice, 1 - side) in sides2 for choice, side in sides)
 
 
 def naive_enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
@@ -354,7 +413,9 @@ def naive_enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
 
     A replica is unfolded when a head of its body has a partner among the
     body's heads or the other threads' heads.  A copy's restricted names
-    are fresh, so a head on one can meet only a head under the same `new`.
+    are fresh, so a head on one can meet only a head under the same `new`,
+    and not one on the other side of a `+` that no `!` below the `new`
+    lets both sides of occur.
     """
     if cfg.halted is not None:
         return ()
@@ -371,7 +432,7 @@ def naive_enumerate_redexes(cfg: Configuration) -> tuple[Redex, ...]:
         elif isinstance(t, CReplicate):
             mine = _heads(t.body)
             pool = mine + [h for j, other in threads if j != k for h in _heads(other)]
-            if any(("in" if d == "out" else "out", b, n) in pool for d, b, n in mine):
+            if any(_could_meet(head, other) for head in mine for other in pool):
                 redexes.append(Redex("replicate", (k,)))
     rank = {"comm": 0, "c-solve": 0, "choice-left": 1, "choice-right": 2, "replicate": 3}
     return tuple(sorted(redexes, key=lambda r: (r.participants[0], rank[r.kind], r.participants[1:])))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import os
 import re
 import subprocess
@@ -87,6 +88,29 @@ def test_one_argument_parser_serves_every_call(capsys, monkeypatch):
     for _ in range(3):  # each call prints what it prints in a fresh process, whatever came before
         assert [run_cli(capsys, *argv) for argv in calls] == fresh
     assert len(built) <= 1 and cli._build_parser() is cli._build_parser()
+
+
+def test_each_runtime_module_loads_on_the_first_run_that_needs_it():
+    # `threadindex` serves sequential runs and `symmetry` exhaustive ones;
+    # `check` and `compile` compile neither.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import json, sys\n"
+        "from gradualpi.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    main(argv)\n"
+        "    print(*[m for m in ('gradualpi.threadindex', 'gradualpi.symmetry') if m in sys.modules], file=sys.stderr)\n"
+    )
+    client = corpus("client.gpi")
+    calls = [["check", client], ["compile", client], ["run", client], ["run", client, "--mode", "exhaustive"]]
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.stderr.splitlines() == ["", "", "gradualpi.threadindex", "gradualpi.threadindex gradualpi.symmetry"]
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -1,13 +1,15 @@
 """The runtime's state key, witness traces and redex order against oracles.
 
-The structural `configuration_key` must induce exactly the partition of
-states that the printed key induces, both on states interned one by one
-and on the ids the explorer splices from a parent's.  The explorer's
-replayed witnesses must print exactly what an explorer rendering every
-step eagerly prints, and the explorer must queue exactly the states the
-reference explorer, which builds and keys every successor, queues (on
-`spell.gpi` it queues fewer, none of them alpha-equivalent); the explorer
-builds few states, so each is materialised here by replaying its path.
+The structural `configuration_key` must merge exactly the states that a
+permutation of names relates, found by brute force, both on states
+interned one by one and on the ids the explorer splices from a parent's,
+and a state put through a random permutation of its names must keep its
+key.  The explorer's replayed witnesses must print exactly what an
+explorer rendering every step eagerly prints, and the explorer must queue
+exactly the first state of each orbit among the states the reference
+explorer, which builds and keys every successor up to alpha-equivalence,
+queues, in the same order; the explorer builds few states, so each is
+materialised here by replaying its path.
 The plan it reads from its threads' ids must be the state's.  The single-pass
 `enumerate_redexes` must return exactly the tuple of the all-pairs-then-sort
 reference, and `redex_plan` must count that tuple and build each of its
@@ -43,10 +45,16 @@ from gradualpi.runtime import (
     run,
     step,
 )
-from gradualpi.syntax import DYN, CPar, CRestrict, Name, canonical, free_names
+from gradualpi.syntax import DYN, CastChannel, CNil, COutput, CPar, CRestrict, Name, canonical, free_names, substitute
 from gradualpi.threadindex import ThreadIndex
 from gradualpi.typecheck import check
-from oracles import alpha_equivalent_configurations, naive_enumerate_redexes, printed_configuration_key, reference_explore
+from oracles import (
+    naive_enumerate_redexes,
+    permutation_invariant,
+    permutation_related,
+    printed_configuration_key,
+    reference_explore,
+)
 import oracles
 
 DRAWS = 200
@@ -98,33 +106,113 @@ def party_configs(seed: int, count: int = DRAWS):
     return configs
 
 
-def assert_same_partition(cfg0, depth: int) -> int:
-    """Breadth-first to `depth`; every state reached gets both keys."""
-    to_printed: dict = {}
-    to_structural: dict = {}
-    expanded: set[str] = set()
+def renamed_configuration(cfg: Configuration, rng) -> Configuration:
+    """`cfg` with its free names permuted at random among themselves, its
+    restricted names among those of the same type, and its threads and
+    restrictions in a random order."""
+    restricted = [n for n, _ in cfg.restrictions]
+    free = sorted(set().union(*map(free_names, cfg.threads)) - set(restricted))
+    mapping = dict(zip(free, rng.sample(free, len(free))))
+    by_type: dict = {}
+    for n, t in cfg.restrictions:
+        by_type.setdefault(str(t), []).append(n)
+    for group in by_type.values():
+        mapping.update(zip(group, rng.sample(group, len(group))))
+    threads = [substitute(t, {n: CastChannel(m) for n, m in mapping.items()}) for t in cfg.threads]
+    restrictions = [(mapping[n], t) for n, t in cfg.restrictions]
+    rng.shuffle(threads)
+    rng.shuffle(restrictions)
+    return Configuration(tuple(restrictions), tuple(threads), cfg.halted, cfg.protected)
+
+
+class Orbits:
+    """States sorted into orbits under permutations of names, by brute
+    force: a state joins the orbit of the first earlier state it is
+    related to, found among those with its permutation invariant."""
+
+    def __init__(self):
+        self._firsts: dict = {}
+
+    def first(self, cfg: Configuration) -> Configuration:
+        """The first state added of `cfg`'s orbit, adding `cfg` if it is the first."""
+        firsts = self._firsts.setdefault(permutation_invariant(cfg), [])
+        found = next((first for first in firsts if permutation_related(first, cfg)), None)
+        if found is None:
+            firsts.append(cfg)
+        return found or cfg
+
+
+def assert_keys_merge_exactly_the_permuted_states(cfg0, depth: int, rng) -> tuple[int, int]:
+    """Breadth-first to `depth`.  Two states get one key exactly when a
+    permutation of names relates them, and a state put through a random
+    permutation of its free names and of its restricted names keeps its
+    key.  Returns the states reached, as printed, and the keys."""
     table = IdTable()
+    keys: dict = {}  # printed key -> key
+    first_of: dict = {}  # key -> the first state of its orbit
+    key_of: dict = {}  # id of the first state of an orbit -> key
+    orbits = Orbits()
     frontier = [cfg0]
     for d in range(depth + 1):
         successors = []
         for cfg in frontier:
-            structural, printed = state_key(table, cfg), printed_configuration_key(cfg)
-            assert to_printed.setdefault(structural, printed) == printed
-            assert to_structural.setdefault(printed, structural) == structural
-            if d < depth and cfg.halted is None and printed not in expanded:
-                expanded.add(printed)
+            printed, key = printed_configuration_key(cfg), state_key(table, cfg)
+            if printed in keys:
+                assert keys[printed] == key
+                continue
+            keys[printed] = key
+            assert state_key(table, renamed_configuration(cfg, rng)) == key
+            first = orbits.first(cfg)
+            assert first_of.setdefault(key, first) is first
+            assert key_of.setdefault(id(first), key) == key
+            if d < depth and cfg.halted is None:
                 successors.extend(step(cfg, redex)[0] for redex in enumerate_redexes(cfg))
         frontier = successors
-    return len(to_printed)
+    return len(keys), len(first_of)
 
 
-def test_structural_key_partitions_states_like_the_printed_key():
-    states = 0
-    restricted = 0
+def test_key_merges_exactly_the_states_a_permutation_relates():
+    states = keys = restricted = 0
+    rng = random.Random(211)
     for cfg in corpus_configs() + party_configs(211) + restricted_configs():
         restricted += bool(cfg.restrictions)
-        states += assert_same_partition(cfg, depth=10)
-    assert restricted >= DRAWS // 3 and states > 500
+        reached, distinct = assert_keys_merge_exactly_the_permuted_states(cfg, 10, rng)
+        states, keys = states + reached, keys + distinct
+    # Renamings merge over a hundred states that the printed key keeps apart.
+    assert restricted >= DRAWS // 3 and keys > 500 and states > keys + 100
+
+
+def links(*cycles: str, via: str = "", hub: str = "") -> Configuration:
+    """Free names linked in cycles: for each name `a` of a cycle and the
+    name `b` after it, `a!<b>.0`, or `via!<a, b>.0` when `via` is given;
+    and `hub!<a>.0` for the first name `a` of each cycle when `hub` is."""
+    send = lambda a, *b: COutput(CastChannel(Name(a)), tuple(CastChannel(Name(x)) for x in b), CNil())
+    edges = [(a, b) for cycle in cycles for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    threads = [send(via, a, b) if via else send(a, b) for a, b in edges]
+    return Configuration((), tuple(threads + [send(hub, cycle[0]) for cycle in cycles if hub]))
+
+
+def test_key_tells_apart_states_that_colour_refinement_does_not():
+    # In each state every cycle name sends once and is sent once, so colour
+    # refinement splits none of them; individualising a name does.  Cycles
+    # of their own share no name and are keyed apart.  Sent on one channel
+    # they share it, so a 3-cycle's names and a 6-cycle's stay tied in one
+    # part although no renaming maps one onto the other: each branch is
+    # tried and the least certificate kept.  Hung off a hub, cycles of one
+    # length are one part whose branches map onto each other, found by the
+    # automorphisms equal leaves reveal.  Restricting `a` keeps each state
+    # apart from the others, `a` alone in its thread (`a!<a>.0`) too.
+    groups = [("abcdef",), ("abc", "def"), ("abc", "defghi"), ("ab", "cdef"), ("a",), ("ab", "cd", "ef", "gh")]
+    states = [links(*cycles, **ways) for cycles in groups for ways in ({}, {"via": "g"}, {"hub": "h"})]
+    states += [under_new(state) for state in states]
+    rng = random.Random(5)
+    states += [renamed_configuration(state, rng) for state in states for _ in range(3)]
+    table, orbits, first_of, key_of = IdTable(), Orbits(), {}, {}
+    for state in states:
+        key, first = state_key(table, state), orbits.first(state)
+        assert first_of.setdefault(key, first) is first
+        assert key_of.setdefault(id(first), key) == key
+    assert len(first_of) == 36
 
 
 def redex_for(cfg: Configuration, i: int, option) -> Redex:
@@ -212,17 +300,18 @@ def explored_states() -> tuple[list, list]:
     return states, [(materialise(configs[search], node, memos[search]), redexes) for search, node, redexes in planned]
 
 
-def test_explorer_id_keys_partition_states_like_the_keys():
+def test_explorer_keys_merge_exactly_the_states_a_permutation_relates():
     # Ids come from one intern table per search, so keys compare within a search.
-    by_ids: dict = {}
-    back: dict = {}
+    first_of: dict = {}
+    key_of: dict = {}
+    orbits: dict = {}
     restricted = 0
-    for search, cfg, fast in explored_states()[0]:
-        fast, slow = (search, fast), (search, printed_configuration_key(cfg))
-        assert by_ids.setdefault(fast, slow) == slow
-        assert back.setdefault(slow, fast) == fast
+    for search, cfg, key in explored_states()[0]:
+        first = orbits.setdefault(search, Orbits()).first(cfg)
+        assert first_of.setdefault((search, key), first) is first
+        assert key_of.setdefault(id(first), key) == key
         restricted += bool(cfg.restrictions)
-    assert len(by_ids) > 1000 and restricted > 500
+    assert len(first_of) > 1000 and restricted > 500
 
 
 def test_redex_plan_counts_and_builds_the_reference_order():
@@ -319,13 +408,23 @@ def explore_nodes(monkeypatch, cfg, depth: int):
     return explore_queued(explore, runtime, monkeypatch, cfg, depth, lambda node: materialise(cfg, node, memo))
 
 
-def assert_explores_like_the_reference(monkeypatch, cfg, depth: int):
+def assert_queues_the_first_of_each_orbit(monkeypatch, cfg, depth: int):
+    """The explorer's queue is the first state of each orbit among the
+    states the reference explorer queues, in the same order.  Returns both
+    reports and the number of states queued."""
     report, queued = explore_nodes(monkeypatch, cfg, depth)
     expected, expected_queued = explore_queued(reference_explore, oracles, monkeypatch, cfg, depth)
+    orbits = Orbits()
+    firsts = [state for state in expected_queued if orbits.first(state) is state]
+    assert list(map(printed_configuration_key, queued)) == list(map(printed_configuration_key, firsts))
+    return report, expected, len(queued)
+
+
+def assert_explores_like_the_reference(monkeypatch, cfg, depth: int) -> int:
+    report, expected, queued = assert_queues_the_first_of_each_orbit(monkeypatch, cfg, depth)
     assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
     assert [o.halt for o in report.outcomes] == [o.halt for o in expected.outcomes]
-    assert list(map(printed_configuration_key, queued)) == list(map(printed_configuration_key, expected_queued))
-    return len(queued)
+    return queued
 
 
 # Replicas with heads on a name restricted inside them, which meet only
@@ -333,12 +432,16 @@ def assert_explores_like_the_reference(monkeypatch, cfg, depth: int):
 # written, the free `x?().0` would keep the first replica useful and the
 # search would reach only `depth-exceeded`; so would the second if the inner
 # `new x` were taken for the outer one.  The third communicates inside
-# each copy, so it keeps unfolding.
+# each copy, so it keeps unfolding.  The fourth's copy takes one side of a
+# `+`, so its two heads never both occur; the fifth's inner `!` lays down
+# copies of the `+` that can take opposite sides, so it keeps unfolding.
 BOUND_HEAD, SHADOWED_HEAD, PAIRED_HEAD = "bound_head.gpi", "shadowed_head.gpi", "paired_head.gpi"
+CHOICE_HEAD, REPLICATED_CHOICE_HEAD = "choice_head.gpi", "replicated_choice_head.gpi"
+HEADS = (BOUND_HEAD, SHADOWED_HEAD, PAIRED_HEAD, CHOICE_HEAD, REPLICATED_CHOICE_HEAD)
 
 
 def test_a_head_on_a_restricted_name_meets_only_heads_under_its_new():
-    for name in (BOUND_HEAD, SHADOWED_HEAD):
+    for name in (BOUND_HEAD, SHADOWED_HEAD, CHOICE_HEAD):
         cfg = compile_corpus(name)
         assert run(cfg, Exhaustive(6)).statuses() == (Status.NORMAL_STUCK,)
         assert run(cfg, Seeded(0)).statuses() == (Status.NORMAL_STUCK,)
@@ -346,6 +449,9 @@ def test_a_head_on_a_restricted_name_meets_only_heads_under_its_new():
     report = run(cfg, Exhaustive(6))
     assert report.statuses() == (Status.DEPTH_EXCEEDED,)
     assert [event.rule for event in report.outcomes[0].trace] == ["replicate", "c-solve", "comm"] * 2
+    assert run(cfg, Seeded(0, max_steps=50)).statuses() == (Status.MAX_STEPS,)
+    cfg = compile_corpus(REPLICATED_CHOICE_HEAD)
+    assert run(cfg, Exhaustive(6)).statuses() == (Status.DEPTH_EXCEEDED,)
     assert run(cfg, Seeded(0, max_steps=50)).statuses() == (Status.MAX_STEPS,)
 
 
@@ -355,14 +461,58 @@ def test_explorer_queues_the_states_of_the_reference_explorer(monkeypatch):
     queued = sum(assert_explores_like_the_reference(monkeypatch, cfg, 10) for cfg in configs)
     queued += assert_explores_like_the_reference(monkeypatch, compile_corpus("dyn_race.gpi"), 40)
     race = assert_explores_like_the_reference(monkeypatch, compile_corpus("dyn_race4.gpi"), 10)
-    assert restricted >= DRAWS // 3 and queued > 1000 and race > 1000
-    # Keeping restricted names as written queues 8 more states on two_new.gpi;
-    # ordering tied threads by id instead of text queues others on tie_pair.gpi.
+    assert restricted >= DRAWS // 3 and queued > 1000 and race > 100
+    # Restricted names hoisted in different orders (two_new.gpi), and tied
+    # threads that hold different restricted names (tie_repl.gpi, tie_pair.gpi).
     two_new, tie_repl, tie_pair, race = restricted_configs()
     for cfg, depth in ((two_new, 20), (tie_repl, 8), (tie_pair, 10), (race, 40)):
         assert_explores_like_the_reference(monkeypatch, cfg, depth)
-    for name in (BOUND_HEAD, SHADOWED_HEAD, PAIRED_HEAD):
+    for name in HEADS:
         assert_explores_like_the_reference(monkeypatch, compile_corpus(name), 6)
+
+
+def test_depth_exceeded_witness_is_the_first_of_its_orbit_at_the_bound(monkeypatch):
+    # Two relays pass a pair of values on, swapping them once, so four steps
+    # lead to the initial state with the values swapped.  The reference
+    # queues that renamed copy at depth 4, as the first state at the bound,
+    # and takes it as its `depth-exceeded` witness.  The explorer has its
+    # orbit already (the initial state) and takes the next state at the
+    # bound.  Both are real paths; statuses and queues agree as elsewhere.
+    cfg = compile_corpus("relay_swap.gpi", "relay.gpi", "relay_pair.gpi")
+    report, expected, _ = assert_queues_the_first_of_each_orbit(monkeypatch, cfg, 4)
+    assert report.statuses() == expected.statuses() == (Status.DEPTH_EXCEEDED,)
+    rules = lambda outcome: [event.rule for event in outcome.trace]
+    assert rules(expected.outcomes[0]) == ["replicate", "comm", "replicate", "comm"]
+    assert rules(report.outcomes[0]) == ["replicate", "comm", "replicate", "replicate"]
+
+
+def test_tie_pair_queues_no_two_states_a_permutation_relates(monkeypatch):
+    # Numbering restricted names by first use over the threads ordered by
+    # their text queued 6 pairs of alpha-equivalent states here.
+    _, queued = explore_nodes(monkeypatch, compile_corpus("tie_pair.gpi"), 10)
+    orbits = Orbits()
+    assert all(orbits.first(state) is state for state in queued)
+
+
+def race(k: int, values: int) -> Configuration:
+    """`k` payers and `k` readers on a `dyn` channel; the payers send
+    `values` distinct values, in turn."""
+    decls = "".join(f"chan v{i} : o();\n" for i in range(values))
+    threads = [f"a!<v{i % values}>.0 | a?(s:o()).0" for i in range(k)]
+    return compile_text("chan a : dyn;\n" + decls + "run " + " | ".join(threads) + "\n")
+
+
+def test_races_of_distinct_values_queue_no_more_states_than_of_one_value(monkeypatch):
+    # A value only its payer holds can be renamed to any other, so distinct
+    # values split no orbit; keyed up to alpha-equivalence alone, k=6 queued
+    # 85,951 states against 821.
+    for k in (5, 6):
+        distinct, one = (
+            len(explore_queued(lambda c, d: run(c, Exhaustive(d), trace=False), runtime, monkeypatch, cfg, 40, id)[1])
+            for cfg in (race(k, k), race(k, 1))
+        )
+        assert distinct <= one
+    assert distinct <= 1000
 
 
 def test_no_two_states_queued_are_alpha_equivalent_when_names_are_spelt_apart(monkeypatch):
@@ -372,7 +522,8 @@ def test_no_two_states_queued_are_alpha_equivalent_when_names_are_spelt_apart(mo
     cfg = compile_corpus("spell.gpi")
     report, queued = explore_nodes(monkeypatch, cfg, 8)
     assert len(queued) == 18
-    assert not any(alpha_equivalent_configurations(a, b) for k, a in enumerate(queued) for b in queued[k + 1 :])
+    orbits = Orbits()
+    assert all(orbits.first(state) is state for state in queued)
     expected = reference_explore(cfg, 8)
     assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
 
@@ -473,10 +624,8 @@ INDEXED_CORPUS = RUNNABLE_CORPUS + [
     ("tie_pair.gpi",),
     ("tie_repl.gpi",),
     ("dyn_server.gpi",),
-    (BOUND_HEAD,),
-    (SHADOWED_HEAD,),
-    (PAIRED_HEAD,),
-]
+    ("relay_swap.gpi", "relay.gpi", "relay_pair.gpi"),
+] + [(name,) for name in HEADS]
 
 
 def compile_text(text: str, protect: bool = True) -> Configuration:

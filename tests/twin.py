@@ -152,22 +152,30 @@ _KIND_ORDER = {"comm": 0, "choice-left": 1, "choice-right": 2, "replicate": 3}
 
 
 def _heads(term, acc, scope={}):
-    """Append the heads of `term` to `acc`; a head's channel is its name if
-    free, else a token made afresh for the `new` that binds it."""
+    """Append the heads `(direction, channel, arity, sides)` of `term` to
+    `acc`; a head's channel is its name if free, else a token made afresh
+    for the `new` that binds it.  `sides` are the sides taken at the `+`s
+    below that `new` and above the first `!` under it."""
     match term:
         case Nil():
             return
         case Input(a, binders, _):
-            acc.append(("in", scope.get(a, a), len(binders)))
+            channel, sides, _ = scope.get(a, (a, frozenset(), False))
+            acc.append(("in", channel, len(binders), sides))
         case Output(a, args, _):
-            acc.append(("out", scope.get(a, a), len(args)))
-        case Par(l, r) | Choice(l, r):
+            channel, sides, _ = scope.get(a, (a, frozenset(), False))
+            acc.append(("out", channel, len(args), sides))
+        case Par(l, r):
             _heads(l, acc, scope)
             _heads(r, acc, scope)
+        case Choice(l, r):
+            choice = object()
+            for side, branch in enumerate((l, r)):
+                _heads(branch, acc, {n: (c, s | {(choice, side)} if live else s, live) for n, (c, s, live) in scope.items()})
         case Restrict(x, _, body):
-            _heads(body, acc, {**scope, x: object()})
+            _heads(body, acc, {**scope, x: (object(), frozenset(), True)})
         case Replicate(body):
-            _heads(body, acc, scope)
+            _heads(body, acc, {n: (c, s, False) for n, (c, s, _) in scope.items()})
 
 
 def _unfold_useful(cfg: TwinConfig, index: int, thread: Replicate) -> bool:
@@ -177,10 +185,11 @@ def _unfold_useful(cfg: TwinConfig, index: int, thread: Replicate) -> bool:
     for k, other in enumerate(cfg.threads):
         if k != index:
             _heads(other, pool)
-    for direction, base, arity in mine:
+    for direction, base, arity, sides in mine:
         want = "in" if direction == "out" else "out"
-        if any(d == want and b == base and n == arity for d, b, n in pool):
-            return True
+        for d, b, n, other_sides in pool:
+            if d == want and b == base and n == arity and not any((c, 1 - k) in other_sides for c, k in sides):
+                return True
     return False
 
 
