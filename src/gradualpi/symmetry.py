@@ -12,18 +12,19 @@ A thread's canonical form (bound names renumbered by position, see
 free names replaced by their positions in first-use order, and the tuple
 of those names.  A state is then a multiset of (skeleton id, name tuple),
 the types of its restrictions and its halt status.  A name private to one
-thread stands for its kind alone.  The others are split into parts that
-share no name, and each part's names are numbered canonically by colour
-refinement over the thread-name incidence, with individualisation where
-ties remain (McKay and Piperno, *Practical Graph Isomorphism II*, J. Symb.
-Comput. 2014): each branch individualises one class of the first tied cell
-and refines again, and the least certificate over all leaves is the
-part's.  Names whose transposition fixes the state (twins) are
-interchangeable, so a class of twins is individualised at once, in any
-order, and never branched over; a branch that an automorphism found on
-the way maps onto an explored one is skipped.  Taking the least
-certificate of the branches makes the key exact: two states get the same
-key if and only if a permutation of names relates them.
+thread stands for its kind alone.  The others are numbered by colour
+refinement over the thread-name incidence; when that leaves no two names
+tied, the numbering is canonical.  Otherwise the state is split into
+parts that share no name, and each part's names are numbered by
+refinement with individualisation where ties remain (McKay and Piperno,
+*Practical Graph Isomorphism II*, J. Symb. Comput. 2014): each branch
+individualises one class of the first tied cell and refines again, and
+the least certificate over all leaves is the part's.  Names whose
+transposition fixes the state (twins) are interchangeable, so a class of
+twins is individualised at once, in any order, and never branched over.
+Taking the least certificate of the branches makes the key exact: two
+states get the same key if and only if a permutation of names relates
+them.
 
 ``runtime`` imports this module on the first exhaustive run, so commands
 that explore nothing do not compile it.
@@ -104,7 +105,14 @@ class StateKeys:
         kinds = [types.get(v, -1) for v in number]  # -1: free
         unused = tuple(sorted(k for v, k in types.items() if v not in occurs))
         if len(number) > 1:
-            return tuple(sorted(map(_least_certificate, _components(list(threads.items()), kinds)))), unused
+            # Refinement alone most often numbers every name apart; only a
+            # state with tied names is split into parts and individualised.
+            items = list(threads.items())
+            colour = _refine(items, kinds)
+            if len(set(colour)) < len(colour):
+                return tuple(sorted(map(_least_certificate, _components(items, kinds)))), unused
+            threads = {(s, tuple([colour[v] for v in names])): n for (s, names), n in items}
+            kinds.sort()  # ranks keep the order of kinds
         return tuple(sorted(threads.items())), tuple(kinds), unused
 
 
@@ -132,27 +140,13 @@ def _components(threads: list[tuple[_Thread, int]], kinds: list[int]) -> list[tu
 def _least_certificate(part: tuple[list[tuple[_Thread, int]], list[int]]) -> tuple:
     """The least, over the leaves of the individualisation-refinement tree,
     of the sorted threads renumbered by a leaf's discrete colouring, and the
-    kinds of the numbers.
-
-    Two leaves with one certificate reveal an automorphism: the renaming
-    that maps one leaf's numbering onto the other's.  A branch is skipped
-    when automorphisms that keep its parent's cells map it onto a branch
-    already explored, since their subtrees then give the same certificates.
-    """
+    kinds of the numbers."""
     threads, kinds = part
     twins: list[int] = []
     best: Optional[tuple] = None
-    numbering: list[int] = []  # the best leaf's colouring
-    automorphisms: list[list[int]] = []
-    # (colour, and for a branch: its parent's colour, its class, and the classes of its explored siblings)
-    stack: list[tuple] = [(kinds, None, None, None)]
+    stack = [kinds]
     while stack:
-        colour, parent, members, explored = stack.pop()
-        if parent is not None:
-            if explored and _equivalent(members, explored, parent, automorphisms, twins):
-                continue
-            explored.append(members)
-        colour = _refine(threads, colour)
+        colour = _refine(threads, stack.pop())
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colour):
             cells.setdefault(c, []).append(v)
@@ -172,35 +166,16 @@ def _least_certificate(part: tuple[list[tuple[_Thread, int]], list[int]]) -> tup
         if not single and branching is None:
             certificate = tuple(sorted(((s, tuple([colour[v] for v in names])), n) for (s, names), n in threads))
             if best is None or certificate < best:
-                best, numbering = certificate, colour
-            elif certificate == best:
-                name_of = {c: v for v, c in enumerate(numbering)}
-                automorphisms.append([name_of[c] for c in colour])
+                best = certificate
             continue
         if branching is None:
-            stack.append((_individualise(colour, single), None, None, None))
+            stack.append(_individualise(colour, single))
             continue
         branches: dict[int, list[int]] = {}
         for v in branching:
             branches.setdefault(twins[v], []).append(v)
-        siblings: list[list[int]] = []
-        for members in branches.values():
-            stack.append((_individualise(colour, single + [members]), colour, members, siblings))
+        stack.extend(_individualise(colour, single + [members]) for members in branches.values())
     return best, tuple(sorted(kinds))
-
-
-def _equivalent(members: list[int], explored: list[list[int]], colour: list[int], automorphisms, twins) -> bool:
-    """Whether the automorphisms that keep ``colour``'s cells, with twins,
-    map the class ``members`` onto one of the ``explored`` classes."""
-    orbit = list(range(len(colour)))
-    for v, t in enumerate(twins):
-        if colour[v] == colour[t]:
-            orbit[_find(orbit, v)] = _find(orbit, t)
-    for image in automorphisms:
-        if all(colour[image[v]] == colour[v] for v in range(len(colour))):
-            for v, w in enumerate(image):
-                orbit[_find(orbit, v)] = _find(orbit, w)
-    return any(_find(orbit, members[0]) == _find(orbit, other[0]) for other in explored)
 
 
 def _find(owner: list[int], v: int) -> int:

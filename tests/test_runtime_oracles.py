@@ -199,8 +199,8 @@ def test_key_tells_apart_states_that_colour_refinement_does_not():
     # they share it, so a 3-cycle's names and a 6-cycle's stay tied in one
     # part although no renaming maps one onto the other: each branch is
     # tried and the least certificate kept.  Hung off a hub, cycles of one
-    # length are one part whose branches map onto each other, found by the
-    # automorphisms equal leaves reveal.  Restricting `a` keeps each state
+    # length are one part whose branches all give the same certificate.
+    # Restricting `a` keeps each state
     # apart from the others, `a` alone in its thread (`a!<a>.0`) too.
     groups = [("abcdef",), ("abc", "def"), ("abc", "defghi"), ("ab", "cdef"), ("a",), ("ab", "cd", "ef", "gh")]
     states = [links(*cycles, **ways) for cycles in groups for ways in ({}, {"via": "g"}, {"hub": "h"})]
