@@ -157,14 +157,13 @@ def _flatten_into(
     term: CastProcess,
     restrictions: list[tuple[Name, Type]],
     threads: list[CastProcess],
-    in_use: Callable[[], set[Name]],
+    hoist: Callable[[Name], Name],
     halts: list[Halt],
 ) -> None:
     """Flatten ``term`` onto ``threads``, hoisting its restrictions.
 
-    ``in_use`` gives the names a hoisted restriction must avoid; it is
-    called only when a restriction is hoisted, and the set it returns
-    grows with each hoisted name.
+    ``hoist`` gives the name a hoisted restriction takes, before it is
+    appended to ``restrictions``; it is called only when one is hoisted.
     """
     stack = [term]
     while stack:
@@ -175,13 +174,10 @@ def _flatten_into(
             case CPar(l, r):
                 stack += (r, l)
             case CRestrict(x, t, body):
-                avoid = in_use()
-                if x in avoid:
-                    renamed = fresh_name(x, avoid)
+                renamed = hoist(x)
+                if renamed is not x:
                     body = substitute(body, {x: CastChannel(renamed)})
-                    x = renamed
-                avoid.add(x)
-                restrictions.append((x, t))
+                restrictions.append((renamed, t))
                 stack.append(body)
             case CTypeError():
                 halts.append(Halt(Status.TYPE_ERROR))
@@ -206,32 +202,34 @@ def _rebuild(
     order (the explorer's thread ids rely on it).
     """
     restrictions = list(cfg.restrictions)
-    in_use = _names_in_use(cfg.protected, cfg.restrictions, cfg.threads, replacements)
+    hoist = _fresh_names(cfg.protected, cfg.restrictions, cfg.threads, replacements)
     threads: list[CastProcess] = []
     halts: list[Halt] = []
     for i, thread in enumerate(cfg.threads):
         if i in replacements:
             for item in replacements[i]:
-                _flatten_into(item, restrictions, threads, in_use, halts)
+                _flatten_into(item, restrictions, threads, hoist, halts)
         else:
             threads.append(thread)
     final = halted or cfg.halted or (halts[0] if halts else None)
     return Configuration(tuple(restrictions), tuple(threads), final, cfg.protected)
 
 
-def _names_in_use(
+def _fresh_names(
     protected: frozenset[Name],
     restrictions: Sequence[tuple[Name, Type]],
     threads: Iterable[CastProcess],
     replacements: Mapping[int, Sequence[CastProcess]],
-) -> Callable[[], set[Name]]:
-    """The ``in_use`` callback of a step that replaces threads: the names a
-    hoisted restriction must avoid.  The (linear) scan runs on the first
-    hoist only (before that hoist adds to ``restrictions``), and the set it
-    builds then grows with each hoisted name."""
+) -> Callable[[Name], Name]:
+    """The ``hoist`` callback of a step that replaces threads: a hoisted
+    restriction keeps its name unless that name is in use, and then takes
+    the least index bump of it that is not.  The (linear) scan for the
+    names in use runs on the first hoist only (before that hoist adds to
+    ``restrictions``), and the set it builds then grows with each hoisted
+    name."""
     avoid: Optional[set[Name]] = None
 
-    def in_use() -> set[Name]:
+    def hoist(x: Name) -> Name:
         nonlocal avoid
         if avoid is None:
             avoid = set(protected)
@@ -242,9 +240,12 @@ def _names_in_use(
             for items in replacements.values():
                 for item in items:
                     avoid |= free_names(item)
-        return avoid
+        if x in avoid:
+            x = fresh_name(x, avoid)
+        avoid.add(x)
+        return x
 
-    return in_use
+    return hoist
 
 
 # --------------------------------------------------------------------------
@@ -281,9 +282,8 @@ class RedexPlan:
 
     Each entry is a thread that offers redexes, in emission order, with its
     options: the indices of its partner outputs for an input (one
-    communication each), or the kinds of its single-thread redexes.  The
-    redex at position ``k`` is found by walking the entries' sizes, so a
-    seeded pick builds one ``Redex`` instead of all of them.
+    communication each), or the kinds of its single-thread redexes.  A
+    redex is built only when asked for, by ``build``.
     """
 
     def __init__(self, threads: Sequence[CastProcess], entries: Sequence[tuple[int, Sequence]]):
@@ -293,14 +293,6 @@ class RedexPlan:
 
     def __len__(self) -> int:
         return self._count
-
-    def redex(self, k: int) -> Redex:
-        """The redex at position ``k`` of the order."""
-        for i, options in self._entries:
-            if 0 <= k < len(options):
-                return self.build(i, options[k])
-            k -= len(options)
-        raise IndexError("redex position out of range")
 
     def redexes(self) -> tuple[Redex, ...]:
         return tuple(self.build(i, option) for i, option in self.options())
@@ -703,47 +695,46 @@ def _run_sequential(cfg: Configuration, pick, max_steps: int, trace: bool) -> Ou
         steps += 1
 
 
-def _learn_move(table: IdTable, redex: Redex, forms: Sequence[CastProcess]) -> Optional[tuple]:
-    """The move of ``redex``: the ids of the threads that replace each
-    participant, flattened (in participant order), and the successor's halt
+_HOISTED_BASE = "#r"  # '#' cannot appear in a parsed identifier
+
+
+def _learn_move(table: IdTable, redex: Redex, forms: Sequence[CastProcess], restricted: int) -> tuple:
+    """The move of ``redex`` from a state with ``restricted`` restrictions:
+    the ids of the threads that replace each participant, flattened (in
+    participant order), the restrictions it hoists and the successor's halt
     status.  These depend on the participants' alpha-classes alone, so
-    ``forms`` may hold canonical forms.  ``None`` if the move hoists a
-    restriction, whose fresh name depends on the whole state."""
+    ``forms`` may hold canonical forms.  A hoisted restriction is named
+    ``#r<k>``, ``k`` its position in the successor's restrictions, and
+    restrictions are hoisted in thread order, as ``_rebuild`` hoists them;
+    so a search state's restrictions stand, position by position, for those
+    of the configuration it stands for.  No name of a state is ``#r<k>`` for
+    ``k`` past its last restriction (restrictions are never dropped), so the
+    name is unused there."""
     _, _, results, halted = _effects(redex, [forms[k] for k in redex.participants])
-    replaced, hoisted, halts = [], [], []
-    for k in redex.participants:
-        flat: list[CastProcess] = []
+    hoisted: list[tuple[Name, Type]] = []
+    halts: list[Halt] = []
+    flat: dict[int, list[CastProcess]] = {}
+    hoist = lambda _: Name(_HOISTED_BASE, restricted + len(hoisted))
+    for k in sorted(results):
+        flat[k] = []
         for item in results[k]:
-            _flatten_into(item, hoisted, flat, set, halts)
-        if hoisted:
-            return None
-        replaced.append(tuple(map(table.intern, flat)))
+            _flatten_into(item, hoisted, flat[k], hoist, halts)
     halted = halted or (halts[0] if halts else None)
-    return tuple(replaced), halted.status if halted else None
+    replaced = tuple(tuple(map(table.intern, flat[k])) for k in redex.participants)
+    return replaced, tuple(hoisted), halted.status if halted else None
 
 
 class _Node:
     """A queued state of the explorer: its threads' ids in thread order, its
     restrictions and halt status, and how it was reached (the parent's
-    thread ``i`` took ``option`` of the redex plan).  ``cfg`` is kept once
-    built, while the node lives, that is while a descendant is queued or
-    it is on a witness's path."""
+    thread ``i`` took ``option`` of the redex plan).  No configuration is
+    kept: a witness's is rebuilt by ``_replay``."""
 
-    __slots__ = ("ids", "restrictions", "status", "depth", "parent", "i", "option", "cfg")
+    __slots__ = ("ids", "restrictions", "status", "depth", "parent", "i", "option")
 
-    def __init__(self, ids, restrictions, status, depth, parent=None, i=0, option=0, cfg=None):
+    def __init__(self, ids, restrictions, status, depth, parent=None, i=0, option=0):
         self.ids, self.restrictions, self.status, self.depth = ids, restrictions, status, depth
-        self.parent, self.i, self.option, self.cfg = parent, i, option, cfg
-
-    def configuration(self) -> Configuration:
-        """``cfg``, reduced from the nearest ancestor that holds one."""
-        path, node = [], self
-        while node.cfg is None:
-            path.append(node)
-            node = node.parent
-        for node in reversed(path):
-            node.cfg = _reduce(node.parent.cfg, RedexPlan(node.parent.cfg.threads, ()).build(node.i, node.option))[0]
-        return self.cfg
+        self.parent, self.i, self.option = parent, i, option
 
 
 def _run_exhaustive(cfg0: Configuration, depth: int, trace: bool) -> RunReport:
@@ -757,74 +748,72 @@ def _run_exhaustive(cfg0: Configuration, depth: int, trace: bool) -> RunReport:
     argues it, and what it means for witnesses).  Every state is a ``_Node``:
     its threads' canonical forms interned to ids (one ``IdTable`` per run),
     its restrictions, halt status and a parent pointer.  Its redex plan is
-    read from the facts memoised per id.  A step that hoists no restriction
-    replaces each participant in place and keeps the other threads, in
-    order, and the restrictions; what replaces a participant depends on the
-    participants' alpha-classes alone.  So such a move is learnt once per
-    run from the participants' forms, and looked up by their ids (and, for
-    one thread, its kind); the successor's ids are spliced from its
-    parent's.  A configuration is built only to apply a move that hoists a
-    restriction (every time it is taken, since the fresh name it picks
-    depends on the whole state) or to read a witness's halt; the witnesses'
-    traces are rendered by replaying their paths from ``cfg0``.
+    read from the facts memoised per id.  A step replaces each participant
+    in place and keeps the other threads, in order, and the restrictions,
+    to which it appends those it hoists; what replaces a participant
+    depends on the participants' alpha-classes and, for the names of
+    hoisted restrictions, on the number of restrictions alone.  So each move
+    is learnt once per run from the participants' forms (``_learn_move``),
+    and looked up by their ids (and, for one thread, its kind) and the
+    restriction count; the successor's ids are spliced from its parent's.
+    A hoisted restriction takes a name by position where the configuration
+    takes a fresh one; the key does not read how a name is spelt.  No
+    configuration is built while searching: the witnesses' traces and halts
+    are read by replaying their paths from ``cfg0``.
     """
-    witnesses: dict[Status, tuple[Halt, _Node]] = {}
+    witnesses: dict[Status, _Node] = {}
     table = IdTable()
     forms, facts = table.forms, table.facts
-    moves: dict[tuple[int, Union[int, str]], Optional[tuple]] = {}
+    moves: dict[tuple[int, Union[int, str], int], tuple] = {}
     status = cfg0.halted and cfg0.halted.status
-    root = _Node(tuple(map(table.intern, cfg0.threads)), cfg0.restrictions, status, 0, cfg=cfg0)
+    root = _Node(tuple(map(table.intern, cfg0.threads)), cfg0.restrictions, status, 0)
     seen = {configuration_key(table, root.ids, root.status, root.restrictions)}
     queue = deque([root])
     while queue:
         node = queue.popleft()
         ids = node.ids
         if node.status is not None:
-            if node.status not in witnesses:
-                witnesses[node.status] = (node.configuration().halted, node)
+            witnesses.setdefault(node.status, node)
             continue
         threads = [forms[k] for k in ids]
         plan = _plan(threads, [facts[k] for k in ids])
         if not plan:
-            witnesses.setdefault(Status.NORMAL_STUCK, (Halt(Status.NORMAL_STUCK), node))
+            witnesses.setdefault(Status.NORMAL_STUCK, node)
             continue
         if node.depth >= depth:
-            witnesses.setdefault(Status.DEPTH_EXCEEDED, (Halt(Status.DEPTH_EXCEEDED), node))
+            witnesses.setdefault(Status.DEPTH_EXCEEDED, node)
             continue
+        restricted = len(node.restrictions)
         for i, option in plan.options():
             # A pair's kind (comm or c-solve) follows from its threads.
-            signature = (ids[i], option if isinstance(option, str) else ids[option])
-            if signature in moves:
-                move = moves[signature]
+            signature = (ids[i], option if isinstance(option, str) else ids[option], restricted)
+            move = moves.get(signature)
+            if move is None:
+                move = moves[signature] = _learn_move(table, plan.build(i, option), threads, restricted)
+            # Each participant's id is replaced, in place, by the ids that replaced it.
+            replaced, hoisted, status = move
+            restrictions = node.restrictions + hoisted
+            if isinstance(option, str):
+                succ_ids = ids[:i] + replaced[0] + ids[i + 1 :]
+            elif i < option:
+                succ_ids = ids[:i] + replaced[0] + ids[i + 1 : option] + replaced[1] + ids[option + 1 :]
             else:
-                move = moves[signature] = _learn_move(table, plan.build(i, option), threads)
-            succ = None
-            if move is None:  # applied, since the name a hoisted restriction takes depends on the whole state
-                succ = _reduce(node.configuration(), plan.build(i, option))[0]
-                succ_ids, restrictions = tuple(map(table.intern, succ.threads)), succ.restrictions
-                status = succ.halted and succ.halted.status
-            else:  # each participant's id is replaced, in place, by the ids that replaced it
-                (replaced, status), restrictions = move, node.restrictions
-                if isinstance(option, str):
-                    succ_ids = ids[:i] + replaced[0] + ids[i + 1 :]
-                elif i < option:
-                    succ_ids = ids[:i] + replaced[0] + ids[i + 1 : option] + replaced[1] + ids[option + 1 :]
-                else:
-                    succ_ids = ids[:option] + replaced[1] + ids[option + 1 : i] + replaced[0] + ids[i + 1 :]
+                succ_ids = ids[:option] + replaced[1] + ids[option + 1 : i] + replaced[0] + ids[i + 1 :]
             key = configuration_key(table, succ_ids, status, restrictions)
             if key not in seen:
                 seen.add(key)
-                queue.append(_Node(succ_ids, restrictions, status, node.depth + 1, node, i, option, succ))
+                queue.append(_Node(succ_ids, restrictions, status, node.depth + 1, node, i, option))
     outcomes = []
     for status in _STATUS_ORDER:
         if status in witnesses:
-            halt, node = witnesses[status]
-            outcomes.append(Outcome(status, halt, _replay(cfg0, node) if trace else ()))
+            events, halted = _replay(cfg0, witnesses[status])
+            outcomes.append(Outcome(status, halted or Halt(status), events if trace else ()))
     return RunReport(tuple(outcomes))
 
 
-def _replay(cfg: Configuration, node: _Node) -> tuple[TraceEvent, ...]:
-    """The trace of the steps on a node's path, from ``cfg``."""
+def _replay(cfg: Configuration, node: _Node) -> tuple[tuple[TraceEvent, ...], Optional[Halt]]:
+    """The trace of the steps on a node's path from ``cfg``, and the halt of
+    the configuration they reach."""
     path: list[_Node] = []
     while node.parent is not None:
         path.append(node)
@@ -833,7 +822,7 @@ def _replay(cfg: Configuration, node: _Node) -> tuple[TraceEvent, ...]:
     for index, node in enumerate(reversed(path)):
         cfg, event = step(cfg, RedexPlan(cfg.threads, ()).build(node.i, node.option), index)
         events.append(event)
-    return tuple(events)
+    return tuple(events), cfg.halted
 
 
 def format_trace(outcome: Outcome) -> list[str]:

@@ -28,7 +28,7 @@ from .runtime import (
     _facts,
     _flatten_into,
     _Head,
-    _names_in_use,
+    _fresh_names,
     _partner_heads,
 )
 from .syntax import CastProcess, COutput
@@ -237,13 +237,13 @@ class ThreadIndex:
         located = self._locate(redex.participants)
         participants = {k: block.items[offset][1] for k, (block, offset) in located.items()}
         rule, detail, results, halted = _effects(redex, [participants[k] for k in redex.participants])
-        in_use = _names_in_use(self.protected, self.restrictions, self._iter_threads(), results)
+        hoist = _fresh_names(self.protected, self.restrictions, self._iter_threads(), results)
         halts: list[Halt] = []
         flat: dict[int, list[CastProcess]] = {}
         for k in sorted(results):  # hoisted names are picked in thread order
             flat[k] = []
             for item in results[k]:
-                _flatten_into(item, self.restrictions, flat[k], in_use, halts)
+                _flatten_into(item, self.restrictions, flat[k], hoist, halts)
         for k in sorted(flat, reverse=True):  # so each earlier offset stays valid
             self._replace(*located[k], flat[k])
         for block, _ in located.values():

@@ -232,6 +232,12 @@ def test_run_exhaustive_dyn_race_golden(capsys):
     assert out == golden("exhaustive_dyn_race.txt")
 
 
+def test_run_exhaustive_hoist_server_golden(capsys):
+    code, out, _ = run_cli(capsys, "run", corpus("hoist_server.gpi"), "--mode", "exhaustive", "--depth", "9")
+    assert code == 5
+    assert out == golden("exhaustive_hoist_server.txt")
+
+
 def test_untraced_run_renders_no_step(capsys, monkeypatch):
     import gradualpi.runtime as runtime
 

@@ -8,13 +8,13 @@ key.  The explorer's replayed witnesses must print exactly what an
 explorer rendering every step eagerly prints, and the explorer must queue
 exactly the first state of each orbit among the states the reference
 explorer, which builds and keys every successor up to alpha-equivalence,
-queues, in the same order; the explorer builds few states, so each is
+queues, in the same order; the explorer builds no configuration, so each is
 materialised here by replaying its path.
 The plan it reads from its threads' ids must be the state's.  The single-pass
 `enumerate_redexes` must return exactly the tuple of the all-pairs-then-sort
-reference, and `redex_plan` must count that tuple and build each of its
-positions alone.  So must the `ThreadIndex` of a sequential run at every
-step, and its threads must be those `_rebuild` builds.
+reference, and `redex_plan` must count and build that tuple.  So must the
+`ThreadIndex` of a sequential run at every step, and its threads must be
+those `_rebuild` builds.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter, deque
+from dataclasses import replace
 
 from conftest import RUNNABLE_CORPUS, compile_corpus, state_key
 from gen import random_party_set
@@ -249,14 +250,19 @@ class Popping(deque):
         return self.current[0]
 
 
+# Both participants of one communication hoist a restriction, the output,
+# which comes first in thread order, first.
+BOTH_HOIST = "chan a : dyn;\nrun a!<>.new (x:dyn) (x!<>.0 | x?().0) | a?().new (y:dyn) (y!<>.0 | y?().0)\n"
+
+
 @functools.cache
 def explored_states() -> tuple[list, list]:
     """`(search, state, key)` for every state the explorer keys, and
-    `(state, redexes)` for every state it plans, with the redexes of the plan
-    it reads (from its threads' ids), in a depth-10 search of each corpus
-    composition and random party set.
+    `(state, node, redexes)` for every state it plans, with its node and the
+    redexes of the plan it reads (from its threads' ids), in a depth-10
+    search of each corpus composition, random party set and `BOTH_HOIST`.
 
-    The explorer builds no successor it does not need, so each state is
+    The explorer builds no configuration while it searches, so each state is
     materialised here afterwards, from the node being expanded and the plan
     option being taken.
     """
@@ -281,7 +287,7 @@ def explored_states() -> tuple[list, list]:
         plan.options = noted
         return plan
 
-    configs = corpus_configs() + party_configs(229)
+    configs = corpus_configs() + party_configs(229) + [compile_text(BOTH_HOIST)]
     runtime.configuration_key, runtime._plan, runtime.deque = record_key, noting_plan, Popping
     try:
         for search, cfg in enumerate(configs):
@@ -297,7 +303,9 @@ def explored_states() -> tuple[list, list]:
         if option is not None:
             state = step(state, redex_for(state, *option))[0]
         states.append((search, state, result))
-    return states, [(materialise(configs[search], node, memos[search]), redexes) for search, node, redexes in planned]
+    return states, [
+        (materialise(configs[search], node, memos[search]), node, redexes) for search, node, redexes in planned
+    ]
 
 
 def test_explorer_keys_merge_exactly_the_states_a_permutation_relates():
@@ -319,11 +327,17 @@ def test_redex_plan_counts_and_builds_the_reference_order():
     for _, cfg, _ in keyed:
         plan, expected = redex_plan(cfg), naive_enumerate_redexes(cfg)
         assert len(plan) == len(expected)
-        assert tuple(plan.redex(k) for k in range(len(plan))) == expected
-    # The plan the explorer reads from its threads' ids is the plan of the state.
-    for cfg, redexes in planned:
-        assert redexes == redex_plan(cfg).redexes()
-    assert len(keyed) > 1000 and len(planned) > 1000
+        assert plan.redexes() == expected
+    # The plan the explorer reads from its threads' ids is the plan of the
+    # state, whose hoisted restrictions the search names by position.
+    hoisted = 0
+    for cfg, node, redexes in planned:
+        assert [t for _, t in cfg.restrictions] == [t for _, t in node.restrictions]
+        names = {x: y for (x, _), (y, _) in zip(cfg.restrictions, node.restrictions)}
+        renamed = tuple(replace(r, channel=names.get(r.channel, r.channel)) for r in redex_plan(cfg).redexes())
+        assert redexes == renamed
+        hoisted += cfg.restrictions != node.restrictions
+    assert len(keyed) > 1000 and len(planned) > 1000 and hoisted > 100
 
 
 def eager_explore(cfg0, depth: int) -> list[Outcome]:
@@ -467,6 +481,8 @@ def test_explorer_queues_the_states_of_the_reference_explorer(monkeypatch):
     two_new, tie_repl, tie_pair, race = restricted_configs()
     for cfg, depth in ((two_new, 20), (tie_repl, 8), (tie_pair, 10), (race, 40)):
         assert_explores_like_the_reference(monkeypatch, cfg, depth)
+    # A server that hoists a restriction on every request.
+    assert_explores_like_the_reference(monkeypatch, compile_corpus("hoist_server.gpi"), 9)
     for name in HEADS:
         assert_explores_like_the_reference(monkeypatch, compile_corpus(name), 6)
 
@@ -529,43 +545,38 @@ def test_no_two_states_queued_are_alpha_equivalent_when_names_are_spelt_apart(mo
 
 
 def test_move_that_hoists_a_restriction_is_learnt_as_restricting(monkeypatch):
-    # A hoisting move is applied to the state each time it is taken, since
-    # the fresh name it picks depends on the whole state.  Every move is
-    # learnt once, from a restricted parent too.  A move's signature is its
-    # participants' canonical forms (their ids) and, for one thread, its kind.
+    # Every move is learnt once, a hoisting one too: it names what it
+    # hoists by position in the successor's restrictions, so its signature
+    # is its participants' canonical forms (their ids), for one thread its
+    # kind, and the state's restriction count.  No search step reduces a
+    # configuration; only the witnesses are replayed.
     cfg = compile_corpus("extrusion_receivers.gpi", "extrusion_senders.gpi")
     assert not cfg.restrictions
     taken: Counter = Counter()
     learnt: Counter = Counter()
-    hoisted: Counter = Counter()
-    from_restricted = set()
+    hoisting = set()
+    reduced = []
     learn, reduce, plan_of = runtime._learn_move, runtime._reduce, runtime._plan
 
-    def signature(threads, redex):
+    def signature(threads, redex, restricted):
         i, *partner = redex.participants
-        return canonical(threads[i]), canonical(threads[partner[0]]) if partner else redex.kind
+        return canonical(threads[i]), canonical(threads[partner[0]]) if partner else redex.kind, restricted
 
-    def record_learn(table, redex, threads):
-        learnt[signature(threads, redex)] += 1
-        return learn(table, redex, threads)
-
-    def record_reduce(cfg, redex):
-        result = reduce(cfg, redex)
-        if len(result[0].restrictions) > len(cfg.restrictions):
-            hoisted[signature(cfg.threads, redex)] += 1
-        return result
+    def record_learn(table, redex, threads, restricted):
+        move, key = learn(table, redex, threads, restricted), signature(threads, redex, restricted)
+        learnt[key] += 1
+        if move[1]:
+            hoisting.add(key)
+        return move
 
     def noting_plan(threads, facts):
         plan = plan_of(threads, facts)
         options = plan.options
-        restricted = bool(Popping.current[0].restrictions)
+        restricted = len(Popping.current[0].restrictions)
 
         def noted():
             for i, option in options():
-                key = signature(threads, plan.build(i, option))
-                taken[key] += 1
-                if restricted:
-                    from_restricted.add(key)
+                taken[signature(threads, plan.build(i, option), restricted)] += 1
                 yield i, option
 
         plan.options = noted
@@ -573,16 +584,14 @@ def test_move_that_hoists_a_restriction_is_learnt_as_restricting(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(runtime, "_learn_move", record_learn)
-        patch.setattr(runtime, "_reduce", record_reduce)
+        patch.setattr(runtime, "_reduce", lambda *args: reduced.append(1) or reduce(*args))
         patch.setattr(runtime, "_plan", noting_plan)
         patch.setattr(runtime, "deque", Popping)
-        run(cfg, Exhaustive(20), trace=False)  # no witness replayed
-    from_restricted -= set(hoisted)
-    assert any(taken[key] > 1 for key in hoisted)
-    assert any(taken[key] > 1 for key in from_restricted)
+        report = run(cfg, Exhaustive(20))
     assert learnt == Counter(set(taken))
-    assert all(hoisted[key] == taken[key] for key in hoisted)
-    report, expected = run(cfg, Exhaustive(20)), reference_explore(cfg, 20)
+    assert any(taken[key] > 1 for key in hoisting)
+    assert len(reduced) == sum(len(outcome.trace) for outcome in report.outcomes)
+    expected = reference_explore(cfg, 20)
     assert [format_trace(o) for o in report.outcomes] == [format_trace(o) for o in expected.outcomes]
     assert [o.halt for o in report.outcomes] == [o.halt for o in expected.outcomes]
 
@@ -590,28 +599,20 @@ def test_move_that_hoists_a_restriction_is_learnt_as_restricting(monkeypatch):
 def test_explorer_reduces_and_canonicalises_only_new_work(monkeypatch):
     # Building every successor takes 14,152 `_reduce` calls on the 4x4 race,
     # with or without `new (a:dyn)`, and building each successor queued for
-    # the first time 1,578.  A configuration is built only to learn a move,
-    # apply a hoisting move, read a witness's halt or replay a witness.
+    # the first time 1,578.  A configuration is built only to replay a
+    # witness.
     race4 = compile_corpus("dyn_race4.gpi")
     for cfg in (race4, compile_corpus("dyn_race.gpi"), under_new(race4)):
         reduced = []
         forms = []
-        learnt = []
-        reduce, canonicalise, learn = runtime._reduce, runtime.canonical, runtime._learn_move
-
-        def record_reduce(cfg, redex):
-            result = reduce(cfg, redex)
-            reduced.append(len(result[0].restrictions) > len(cfg.restrictions))
-            return result
+        reduce, canonicalise = runtime._reduce, runtime.canonical
 
         with monkeypatch.context() as patch:
-            patch.setattr(runtime, "_reduce", record_reduce)
+            patch.setattr(runtime, "_reduce", lambda *args: reduced.append(1) or reduce(*args))
             patch.setattr(runtime, "canonical", lambda thread: forms.append(thread) or canonicalise(thread))
-            patch.setattr(runtime, "_learn_move", lambda *args: learnt.append(1) or learn(*args))
             report = run(cfg, Exhaustive(40))
         replayed = sum(len(outcome.trace) for outcome in report.outcomes)
-        halted = sum(outcome.status is Status.TYPE_ERROR for outcome in report.outcomes)
-        assert len(reduced) <= len(learnt) + sum(reduced) + halted + replayed
+        assert len(reduced) == replayed
         assert len(forms) == len({canonicalise(thread) for thread in forms})
 
 
