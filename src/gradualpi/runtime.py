@@ -27,6 +27,12 @@ finding the k-th and applying a step cost O(sqrt n) in the thread count n,
 not O(n).  A step that hoists a restriction still scans every thread, in
 O(n), for the names its fresh name must avoid.  An untraced run records no
 trace events.
+
+Cast terms are hash-consed (``syntax``): equal terms are one object, which
+hashes in O(1).  So every per-term memo hits across steps and states: a
+sequential run learns each move once (``ThreadIndex.step``), the explorer
+each move once per id (``_learn_move``), and a trace renders each distinct
+term once (``format_trace``).
 """
 
 from __future__ import annotations
@@ -828,18 +834,17 @@ def _replay(cfg: Configuration, node: _Node) -> tuple[tuple[TraceEvent, ...], Op
 def format_trace(outcome: Outcome) -> list[str]:
     """The wire format consumed by the CLI and the golden tests.
 
-    A term object is rendered once per trace: steps share the threads they
-    leave in place, so one object often appears on several lines.  The memo
-    is keyed by identity (a term's hash recurses over it) and holds the
-    term, so no id is reused while it lives.
+    Each distinct term is rendered once per trace: cast terms are
+    hash-consed, so a term that recurs, on one line or on many, is one
+    object and one key of the memo.
     """
-    memo: dict[int, tuple[CastProcess, str]] = {}
+    memo: dict[CastProcess, str] = {}
 
     def render(term: CastProcess) -> str:
-        found = memo.get(id(term))
-        if found is None:
-            found = memo[id(term)] = (term, print_cast(term))
-        return found[1]
+        text = memo.get(term)
+        if text is None:
+            text = memo[term] = print_cast(term)
+        return text
 
     lines = [event.format(render) for event in outcome.trace]
     lines.append(f"HALT: {outcome.halt.describe()}")

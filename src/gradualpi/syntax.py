@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Union
 
@@ -197,7 +198,67 @@ SurfaceProcess = Union[Nil, Input, Output, ReverseOutput, Par, Choice, Restrict,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# Every cast term is hash-consed (Filliâtre and Conchon, *Type-Safe Modular
+# Hash-Consing*, ML Workshop 2006): a constructor returns the one live term
+# with its class and fields, so structurally equal terms are one object,
+# equality is identity and a term hashes by its address in O(1), however
+# deep it is.  The table holds its terms weakly: an entry goes when its term
+# is freed.  Types and names are not interned; they hash by value.
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+_terms: dict[tuple, _Ref] = {}  # (class, *fields) -> the live term
+
+
+def _forget(ref: _Ref, terms: dict[tuple, _Ref] = _terms) -> None:
+    found = terms.pop(ref.key)
+    if found is not ref:  # a new term took the entry before this callback ran
+        terms[ref.key] = found
+
+
+_NEW = """
+def __new__(cls, {params}):
+    key = (cls, {fields})
+    ref = terms.get(key)
+    if ref is not None:
+        term = ref()
+        if term is not None:
+            return term
+    term = new(cls)
+    {setters}
+    ref = terms[key] = Ref(term, forget)
+    ref.key = key
+    return term
+"""
+
+
+def _cast_term(cls=None, **defaults):
+    """Make ``cls`` (slots for its fields and a weak reference) a frozen
+    dataclass compared by identity and built through the intern table,
+    positionally or by keyword; ``defaults`` are its last fields' defaults
+    (a class with slots cannot declare them).  The constructor is compiled
+    from its fields, as ``dataclass`` compiles an ``__init__``."""
+    if cls is None:
+        return partial(_cast_term, **defaults)
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    source = _NEW.format(
+        params=", ".join(f"{n}=defaults[{n!r}]" if n in defaults else n for n in names),
+        fields="".join(f"{n}, " for n in names),
+        setters="\n    ".join(f"setattr(term, {n!r}, {n})" for n in names),
+    )
+    scope = {"terms": _terms, "Ref": _Ref, "forget": _forget, "new": object.__new__, "defaults": defaults}
+    scope["setattr"] = object.__setattr__  # the dataclass's own refuses
+    exec(source, scope)
+    cls.__new__ = scope["__new__"]
+    cls.__new__.__qualname__ = f"{cls.__qualname__}.__new__"
+    return cls
+
+
+@_cast_term(casts=())
 class CastChannel:
     """A channel name under zero or more casts, outermost frame last.
 
@@ -207,8 +268,9 @@ class CastChannel:
     substitution keep whatever seam the merge produced.
     """
 
+    __slots__ = ("base", "casts", "__weakref__")
     base: Name
-    casts: tuple[tuple[Type, Type], ...] = ()
+    casts: tuple[tuple[Type, Type], ...]
 
     @property
     def is_bare(self) -> bool:
@@ -221,52 +283,62 @@ class CastChannel:
         return CastChannel(self.base, self.casts + ((source, target),))
 
 
-@dataclass(frozen=True)
+@_cast_term
 class CNil:
     """The inert process."""
 
+    __slots__ = ("__weakref__",)
 
-@dataclass(frozen=True)
+
+@_cast_term
 class CInput:
+    __slots__ = ("subject", "binders", "body", "__weakref__")
     subject: CastChannel
     binders: tuple[tuple[Name, Type], ...]
     body: "CastProcess"
 
 
-@dataclass(frozen=True)
+@_cast_term
 class COutput:
+    __slots__ = ("subject", "args", "body", "__weakref__")
     subject: CastChannel
     args: tuple[CastChannel, ...]
     body: "CastProcess"
 
 
-@dataclass(frozen=True)
+@_cast_term
 class CPar:
+    __slots__ = ("left", "right", "__weakref__")
     left: "CastProcess"
     right: "CastProcess"
 
 
-@dataclass(frozen=True)
+@_cast_term
 class CChoice:
+    __slots__ = ("left", "right", "__weakref__")
     left: "CastProcess"
     right: "CastProcess"
 
 
-@dataclass(frozen=True)
+@_cast_term
 class CRestrict:
+    __slots__ = ("name", "type", "body", "__weakref__")
     name: Name
     type: Type
     body: "CastProcess"
 
 
-@dataclass(frozen=True)
+@_cast_term
 class CReplicate:
+    __slots__ = ("body", "__weakref__")
     body: "CastProcess"
 
 
-@dataclass(frozen=True)
+@_cast_term
 class CTypeError:
     """The terminal process left behind by a failed run-time cast."""
+
+    __slots__ = ("__weakref__",)
 
 
 CastProcess = Union[CNil, CInput, COutput, CPar, CChoice, CRestrict, CReplicate, CTypeError]

@@ -31,7 +31,7 @@ from .runtime import (
     _fresh_names,
     _partner_heads,
 )
-from .syntax import CastProcess, COutput
+from .syntax import CastProcess, COutput, CReplicate
 
 
 _MIN_BLOCK = 32  # threads per block, at least
@@ -50,7 +50,7 @@ def _add(counts: dict, key: Hashable, delta: int) -> int:
 class _Block:
     """A run of consecutive threads, counted by class ``(kind, key)``: the
     key is the channel key ``(base, index, arity)`` of an input or output,
-    and the id of a replicated thread."""
+    and the thread itself for a replicated thread."""
 
     __slots__ = ("items", "counts")
 
@@ -79,20 +79,25 @@ class ThreadIndex:
     step that hoists a restriction, which scans every thread for the names
     in use (as ``_rebuild`` does, picking the same fresh names).
 
-    Per-thread facts are kept by object identity (a term's hash recurses
-    over it) for as long as some position holds the thread, so the index
-    holds no thread the run has dropped.
+    Cast terms are hash-consed, so equal threads are one object and hash in
+    O(1).  Per-thread facts are kept by thread for as long as some position
+    holds it, so they hold no thread the run has dropped.  What a redex
+    does depends on its kind and its participants alone, so each move is
+    learnt once per run, as ``_effects`` gives it, and looked up by them;
+    its results are flattened at every step, so that a hoisted restriction
+    still takes a name that is fresh in the current threads.
     """
 
     def __init__(self, cfg: Configuration):
         self.restrictions = list(cfg.restrictions)
         self.halted = cfg.halted
         self.protected = cfg.protected
-        self._live: dict[int, list] = {}  # id(thread) -> [its item, positions holding it]
+        self._live: dict[CastProcess, list] = {}  # thread -> [its item, positions holding it]
         self._totals: dict[tuple, int] = {}  # class -> threads in it
-        self._useful: dict[int, int] = {}  # id(replicated thread) -> 1 if a copy could meet a partner
-        self._needs: dict[int, tuple[_Head, ...]] = {}  # id(replicated thread) -> heads a copy could meet
-        self._needers: dict[_Head, set[int]] = {}  # head -> replicated threads that need it
+        self._useful: dict[CReplicate, int] = {}  # replicated thread -> 1 if a copy could meet a partner
+        self._needs: dict[CReplicate, tuple[_Head, ...]] = {}  # replicated thread -> heads a copy could meet
+        self._needers: dict[_Head, set[CReplicate]] = {}  # head -> replicated threads that need it
+        self._moves: dict[tuple, tuple] = {}  # (kind, *participants) -> rule, detail, their results, halt
         self._heads: dict[_Head, int] = {}  # head on a free name -> threads that have it
         self._count = 0
         self._n = len(cfg.threads)
@@ -106,18 +111,18 @@ class ThreadIndex:
 
     def _item(self, thread: CastProcess) -> tuple:
         """``(class, thread, heads)`` of a thread."""
-        entry = self._live.get(id(thread))
+        entry = self._live.get(thread)
         if entry is not None:
             return entry[0]
         kind, key, heads, paired = _facts(thread)
         if kind == _REP:
-            key = id(thread)
+            key = thread
             needs = self._needs[key] = () if paired else _partner_heads(heads)  # a paired one is always useful
             for head in needs:
                 self._needers.setdefault(head, set()).add(key)
             self._useful[key] = int(paired or any(self._heads.get(head) for head in needs))
         item = ((kind, key), thread, heads)
-        self._live[id(thread)] = [item, 0]
+        self._live[thread] = [item, 0]
         return item
 
     def _weight(self, cls: tuple) -> int:
@@ -144,16 +149,16 @@ class ThreadIndex:
             if _add(self._heads, head, delta) == (1 if delta > 0 else 0):  # it appeared or disappeared
                 for rep in self._needers.get(head, ()):
                     self._recompute(rep)
-        entry = self._live[id(thread)]
+        entry = self._live[thread]
         entry[1] += delta
         if not entry[1]:  # no position holds the thread any more
-            del self._live[id(thread)]
+            del self._live[thread]
             if kind == _REP:
                 for head in self._needs.pop(key):
                     self._needers[head].discard(key)
                 del self._useful[key]
 
-    def _recompute(self, rep: int) -> None:
+    def _recompute(self, rep: CReplicate) -> None:
         useful = int(any(self._heads.get(head) for head in self._needs[rep]))
         if useful != self._useful[rep]:
             self._count += (useful - self._useful[rep]) * self._totals.get((_REP, rep), 0)
@@ -226,7 +231,7 @@ class ThreadIndex:
 
     def step(
         self, redex: Redex
-    ) -> tuple[str, tuple[str, ...], dict[int, CastProcess], dict[int, list[CastProcess]]]:
+    ) -> tuple[str, tuple[str, ...], dict[int, CastProcess], dict[int, tuple[CastProcess, ...]]]:
         """Apply one redex in place, as ``_reduce`` applies it to a configuration.
 
         Returns the trace rule and its detail, the participants by position,
@@ -236,7 +241,14 @@ class ThreadIndex:
             raise ValueError("cannot step a halted configuration")
         located = self._locate(redex.participants)
         participants = {k: block.items[offset][1] for k, (block, offset) in located.items()}
-        rule, detail, results, halted = _effects(redex, [participants[k] for k in redex.participants])
+        signature = (redex.kind, *(participants[k] for k in redex.participants))
+        move = self._moves.get(signature)
+        if move is None:
+            rule, detail, results, halted = _effects(redex, signature[1:])
+            replaced = tuple(tuple(results[k]) for k in redex.participants)
+            move = self._moves[signature] = rule, detail, replaced, halted
+        rule, detail, replaced, halted = move
+        results = dict(zip(redex.participants, replaced))
         hoist = _fresh_names(self.protected, self.restrictions, self._iter_threads(), results)
         halts: list[Halt] = []
         flat: dict[int, list[CastProcess]] = {}

@@ -238,6 +238,25 @@ def test_run_exhaustive_hoist_server_golden(capsys):
     assert out == golden("exhaustive_hoist_server.txt")
 
 
+def test_goldens_do_not_depend_on_hashes():
+    # Cast terms hash by address, and names and strings by the hash seed:
+    # fresh interpreters with different seeds print the same bytes.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = {
+        "run_dyn_server_seed3.txt": ("run", corpus("dyn_server.gpi"), "--mode", "seeded", "--seed", "3", "--trace"),
+        "exhaustive_hoist_server.txt": ("run", corpus("hoist_server.gpi"), "--mode", "exhaustive", "--depth", "9"),
+    }
+    for name, argv in runs.items():
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "gradualpi", *argv],
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                timeout=120,
+            )
+            assert (done.stdout, done.stderr) == (golden(name).encode(), b"")
+
+
 def test_untraced_run_renders_no_step(capsys, monkeypatch):
     import gradualpi.runtime as runtime
 
@@ -432,6 +451,19 @@ def test_replicated_wide_composition_runs_seeded(capsys, tmp_path):
     wide.write_text("chan a : dyn;\nrun !(" + " | ".join(["a!<>"] * 2000) + ") | a?().0\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "run", str(wide), "--mode", "seeded", "--max-steps", "50")
     assert (code, out, err) == (5, "HALT: max-steps\n", "")
+
+
+def test_deep_terms_run_exhaustive(capsys, tmp_path):
+    # Cast terms are hash-consed, so a state hashes its threads in O(1),
+    # however deep they are.
+    path = tmp_path / "deep.gpi"
+    path.write_text("chan a : o();\nrun " + "a!<>." * 10_000 + "0\n", encoding="utf-8")
+    stuck = "TERMINALS: normal-stuck\n--- witness: normal-stuck\nHALT: normal-stuck\n"
+    assert run_cli(capsys, "run", str(path), "--mode", "exhaustive", "--depth", "3") == (0, stuck, "")
+    path.write_text("chan a : dyn;\nrun !(" + " | ".join(["a!<>"] * 2000) + ") | a?().0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), "--mode", "exhaustive", "--depth", "3")
+    assert (code, out.splitlines()[0], err) == (5, "TERMINALS: normal-stuck depth-exceeded", "")
+    assert out.endswith("HALT: depth-exceeded\n")
 
 
 def test_malformed_cast_is_internal_error_exit_seventy(capsys, monkeypatch):

@@ -646,11 +646,12 @@ def dyn_server(clients: int) -> Configuration:
 CLASH = "chan a : dyn;\nchan y : dyn;\nrun a?().new (y:o()) y!<>.0 | a!<>.0 | y?().0 | y!<>.0\n"
 
 
-def assert_index_follows_rebuild(cfg: Configuration, seed: int, steps: int) -> int:
+def assert_index_follows_rebuild(cfg: Configuration, seed: int, steps: int) -> tuple[int, int]:
     """A seeded walk from `cfg` kept in one `ThreadIndex`; at every state the
     index counts and builds the redexes of the naive enumeration of its
     materialised configuration, and every step leaves the configuration that
-    `_reduce` (through `_rebuild`) builds.  Returns the states checked."""
+    `_reduce` (through `_rebuild`) builds, its moves looked up in the index's
+    move table once learnt.  Returns the states checked and the moves learnt."""
     index, rng = ThreadIndex(cfg), random.Random(seed)
     for checked in range(1, steps + 1):
         materialised = index.configuration()
@@ -658,13 +659,13 @@ def assert_index_follows_rebuild(cfg: Configuration, seed: int, steps: int) -> i
         expected = naive_enumerate_redexes(materialised)
         assert len(index) == len(expected)
         assert tuple(index.redex(k) for k in range(len(index))) == expected
-        assert set(index._live) == {id(thread) for thread in index.threads()}  # nothing dropped is kept
+        assert set(index._live) == set(index.threads())  # nothing dropped is kept
         if not expected:
-            return checked
+            return checked, len(index._moves)
         redex = expected[rng.randrange(len(expected))]
         cfg, rule, detail, _ = runtime._reduce(cfg, redex)
         assert index.step(redex)[:2] == (rule, detail)
-    return steps
+    return steps, len(index._moves)
 
 
 def test_thread_index_matches_the_naive_enumeration_at_every_step(monkeypatch):
@@ -672,12 +673,14 @@ def test_thread_index_matches_the_naive_enumeration_at_every_step(monkeypatch):
         checked = 0
         for names in INDEXED_CORPUS:
             for seed in range(3):
-                checked += assert_index_follows_rebuild(compile_corpus(*names), seed, 60)
+                checked += assert_index_follows_rebuild(compile_corpus(*names), seed, 60)[0]
         for seed, cfg in enumerate(configs):
-            checked += assert_index_follows_rebuild(cfg, seed, 40)
+            checked += assert_index_follows_rebuild(cfg, seed, 40)[0]
         for seed in range(3):
-            checked += assert_index_follows_rebuild(compile_text(CLASH, protect=False), seed, 10)
-        return checked + assert_index_follows_rebuild(dyn_server(60), 0, 400)
+            checked += assert_index_follows_rebuild(compile_text(CLASH, protect=False), seed, 10)[0]
+        states, moves = assert_index_follows_rebuild(dyn_server(60), 0, 400)
+        assert moves < states // 10  # the 60 clients are one term, so nearly every step repeats a move
+        return checked + states
 
     configs = party_configs(239)
     assert sum(bool(cfg.restrictions) for cfg in configs) >= DRAWS // 3

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import random
 
 import pytest
 
 from gen import random_surface, random_type
 import oracles
-from conftest import corpus_run_threads
+from conftest import corpus_run_threads, load
 from oracles import all_names, oracle_alpha_equal
 from gradualpi.syntax import (
     Capability,
@@ -31,6 +33,7 @@ from gradualpi.syntax import (
     ReverseOutput,
     TypeEnv,
     UnboundNameError,
+    _terms,
     alpha_equal,
     canonical,
     free_names,
@@ -233,6 +236,46 @@ def test_push_keeps_chain_adjacent():
             prev = nxt
         for (s1, t1), (s2, t2) in zip(chan.casts, chan.casts[1:]):
             assert t1 == s2
+
+
+# --------------------------------------------------------------------------
+# hash-consing
+# --------------------------------------------------------------------------
+
+
+def test_equal_cast_terms_are_one_object_by_every_route():
+    from gradualpi.castinsert import insert_casts
+
+    first, second = load("client.gpi"), load("client.gpi")
+    assert first.proc is not second.proc
+    assert insert_casts(first.env, first.proc).proc is insert_casts(second.env, second.proc).proc
+    proc = CInput(bare(a), ((x, T),), COutput(bare(x), (bare(b),), CNil()))
+    assert substitute(proc, {b: bare(m)}) is CInput(bare(a), ((x, T),), COutput(bare(x), (bare(m),), CNil()))
+    assert substitute(proc, {a: CastChannel(r, ((T, DYN),))}).subject is bare(r).push(T, DYN)
+    renamed = CInput(bare(a), ((y, T),), COutput(bare(y), (bare(b),), CNil()))
+    assert canonical(proc) is canonical(renamed) and canonical(proc) is not proc
+    assert bare(a).push(DYN, _OT).push(_OT, T) is CastChannel(a, ((DYN, _OT), (_OT, T)))
+    assert bare(a).push(T, T) is bare(a)
+    assert CastChannel(base=a) is bare(a) and CastChannel(a, casts=()) is bare(a)
+    assert CRestrict(name=x, type=T, body=CNil()) is CRestrict(x, T, CNil())
+    assert dataclasses.replace(proc, binders=((x, T),)) is proc
+    assert dataclasses.replace(proc, body=CNil()) is CInput(bare(a), ((x, T),), CNil())
+    assert CPar(CNil(), CNil()) is not CChoice(CNil(), CNil())  # the class is part of the key
+    assert CInput(bare(a), ((x, T),), CNil()) is not CInput(bare(a), ((x, DYN),), CNil())
+    assert hash(proc) == hash(CInput(bare(a), ((x, T),), COutput(bare(x), (bare(b),), CNil())))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        proc.body = CNil()
+
+
+def test_the_intern_table_holds_no_dead_term():
+    nil = CNil()
+    gc.collect()
+    before = len(_terms)
+    terms = [COutput(bare(Name("#dead", k)), (), nil) for k in range(10_000)]  # no other test has the name
+    assert len(_terms) == before + 20_000  # each output and its subject
+    del terms
+    gc.collect()
+    assert len(_terms) == before
 
 
 # --------------------------------------------------------------------------
