@@ -30,9 +30,10 @@ trace events.
 
 Cast terms are hash-consed (``syntax``): equal terms are one object, which
 hashes in O(1).  So every per-term memo hits across steps and states: a
-sequential run learns each move once (``ThreadIndex.step``), the explorer
-each move once per id (``_learn_move``), and a trace renders each distinct
-term once (``format_trace``).
+sequential run learns each move once (``ThreadIndex.step``), with its
+flattened threads and trace sides unless it hoists, the explorer each move
+once per id (``_learn_move``) and expands it once per state, and a trace
+renders each distinct term once (``format_trace``).
 """
 
 from __future__ import annotations
@@ -568,21 +569,13 @@ def _reduce(
     return _rebuild(cfg, results, halted), rule, detail, results
 
 
-def _event(
-    index: int, rule: str, detail: tuple[str, ...], participants: Mapping[int, CastProcess], results
-) -> TraceEvent:
-    """The trace event of a step, both sides in thread order."""
-    order = sorted(participants)
-    before = tuple(participants[k] for k in order)
-    after = tuple(p for k in order for p in results[k])
-    return TraceEvent(index, rule, detail, before, after)
-
-
 def step(cfg: Configuration, redex: Redex, index: int = 0) -> tuple[Configuration, TraceEvent]:
-    """Apply one redex; returns the new configuration and its trace event."""
+    """Apply one redex; returns the new configuration and its trace event,
+    both sides in thread order."""
     cfg2, rule, detail, results = _reduce(cfg, redex)
-    participants = {k: cfg.threads[k] for k in redex.participants}
-    return cfg2, _event(index, rule, detail, participants, results)
+    order = sorted(redex.participants)
+    after = tuple(p for k in order for p in results[k])
+    return cfg2, TraceEvent(index, rule, detail, tuple(cfg.threads[k] for k in order), after)
 
 
 # --------------------------------------------------------------------------
@@ -695,9 +688,9 @@ def _run_sequential(cfg: Configuration, pick, max_steps: int, trace: bool) -> Ou
         redex = pick(index)
         if redex is None:
             raise InteractiveAbort()
-        rule, detail, participants, results = index.step(redex)
+        rule, detail, before, after = index.step(redex)
         if trace:
-            events.append(_event(steps, rule, detail, participants, results))
+            events.append(TraceEvent(steps, rule, detail, before, after))
         steps += 1
 
 
@@ -790,9 +783,13 @@ def _run_exhaustive(cfg0: Configuration, depth: int, trace: bool) -> RunReport:
             witnesses.setdefault(Status.DEPTH_EXCEEDED, node)
             continue
         restricted = len(node.restrictions)
+        expanded = set()
         for i, option in plan.options():
             # A pair's kind (comm or c-solve) follows from its threads.
             signature = (ids[i], option if isinstance(option, str) else ids[option], restricted)
+            if signature in expanded:  # the same move: its successor has the key of the first's
+                continue
+            expanded.add(signature)
             move = moves.get(signature)
             if move is None:
                 move = moves[signature] = _learn_move(table, plan.build(i, option), threads, restricted)

@@ -13,7 +13,7 @@ that run nothing do not compile it.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .runtime import (
     _CHOICE,
@@ -69,9 +69,11 @@ class ThreadIndex:
     counting its threads by class (``_Block``).  Global counts per class
     keep ``len`` (the number of enabled redexes: inputs times outputs per
     channel key, two per choice, one per useful replicated thread) up to
-    date in O(1) per thread that enters or leaves.  ``redex(k)`` walks the
-    blocks' weights, then one block, in the order of ``redex_plan``; it finds
-    an input's partner, the k-th output on its key, the same way.  A
+    date in O(1) per thread that enters or leaves, and so does one dict of
+    the redexes a thread of each class offers (its weight).  ``redex(k)``
+    walks the blocks' weights, then one block, in the order of
+    ``redex_plan``; it finds an input's partner, the k-th output on its key,
+    the same way, and records where each participant sits for ``step``.  A
     replicated thread is offered by the rule of ``runtime._plan``: the heads
     on free names are kept as a multiset, and a replicated thread's
     usefulness is recomputed only when a head it needs appears or
@@ -83,9 +85,11 @@ class ThreadIndex:
     O(1).  Per-thread facts are kept by thread for as long as some position
     holds it, so they hold no thread the run has dropped.  What a redex
     does depends on its kind and its participants alone, so each move is
-    learnt once per run, as ``_effects`` gives it, and looked up by them;
-    its results are flattened at every step, so that a hoisted restriction
-    still takes a name that is fresh in the current threads.
+    learnt once per run and looked up by them: its rule, detail, halt, trace
+    sides and, unless it hoists a restriction, its flattened threads.  A
+    hoisting move's results are flattened at every step, so that the
+    hoisted restriction still takes a name that is fresh in the current
+    threads.
     """
 
     def __init__(self, cfg: Configuration):
@@ -94,10 +98,11 @@ class ThreadIndex:
         self.protected = cfg.protected
         self._live: dict[CastProcess, list] = {}  # thread -> [its item, positions holding it]
         self._totals: dict[tuple, int] = {}  # class -> threads in it
-        self._useful: dict[CReplicate, int] = {}  # replicated thread -> 1 if a copy could meet a partner
+        self._weights: dict[tuple, int] = {(_CHOICE, None): 2}  # class -> redexes a thread in it offers
         self._needs: dict[CReplicate, tuple[_Head, ...]] = {}  # replicated thread -> heads a copy could meet
         self._needers: dict[_Head, set[CReplicate]] = {}  # head -> replicated threads that need it
-        self._moves: dict[tuple, tuple] = {}  # (kind, *participants) -> rule, detail, their results, halt
+        self._moves: dict[tuple, tuple] = {}  # (kind, *participants) -> what ``_learn`` gives
+        self._drawn: Optional[tuple[Redex, list]] = None  # the redex ``redex`` built last, and where it sits
         self._heads: dict[_Head, int] = {}  # head on a free name -> threads that have it
         self._count = 0
         self._n = len(cfg.threads)
@@ -120,21 +125,10 @@ class ThreadIndex:
             needs = self._needs[key] = () if paired else _partner_heads(heads)  # a paired one is always useful
             for head in needs:
                 self._needers.setdefault(head, set()).add(key)
-            self._useful[key] = int(paired or any(self._heads.get(head) for head in needs))
+            self._weights[kind, key] = int(paired or any(self._heads.get(head) for head in needs))
         item = ((kind, key), thread, heads)
         self._live[thread] = [item, 0]
         return item
-
-    def _weight(self, cls: tuple) -> int:
-        """The number of redexes a thread of class ``cls`` offers."""
-        kind, key = cls
-        if kind == _IN:
-            return self._totals.get((_OUT, key), 0)
-        if kind == _CHOICE:
-            return 2
-        if kind == _REP:
-            return self._useful[key]
-        return 0
 
     def _enter(self, item: tuple, delta: int) -> None:
         """Count a thread in (``delta`` 1) or out (-1) of the global counts."""
@@ -142,13 +136,19 @@ class ThreadIndex:
         kind, key = cls
         if kind == _OUT:  # one more or one fewer partner for each input on its key
             self._count += delta * self._totals.get((_IN, key), 0)
+            _add(self._weights, (_IN, key), delta)
         else:
-            self._count += delta * self._weight(cls)
+            self._count += delta * self._weights.get(cls, 0)
         _add(self._totals, cls, delta)
         for head in heads:
             if _add(self._heads, head, delta) == (1 if delta > 0 else 0):  # it appeared or disappeared
                 for rep in self._needers.get(head, ()):
                     self._recompute(rep)
+        self._hold(item, delta)
+
+    def _hold(self, item: tuple, delta: int) -> None:
+        """Count a position in (1) or out (-1) of those holding a thread."""
+        (kind, key), thread, _ = item
         entry = self._live[thread]
         entry[1] += delta
         if not entry[1]:  # no position holds the thread any more
@@ -156,13 +156,14 @@ class ThreadIndex:
             if kind == _REP:
                 for head in self._needs.pop(key):
                     self._needers[head].discard(key)
-                del self._useful[key]
+                del self._weights[kind, key]
 
     def _recompute(self, rep: CReplicate) -> None:
+        cls = (_REP, rep)
         useful = int(any(self._heads.get(head) for head in self._needs[rep]))
-        if useful != self._useful[rep]:
-            self._count += (useful - self._useful[rep]) * self._totals.get((_REP, rep), 0)
-            self._useful[rep] = useful
+        if useful != self._weights[cls]:
+            self._count += (useful - self._weights[cls]) * self._totals.get(cls, 0)
+            self._weights[cls] = useful
 
     # -- reading ---------------------------------------------------------------
 
@@ -185,30 +186,37 @@ class ThreadIndex:
         """The redex at position ``k`` of the order of ``redex_plan``."""
         if not 0 <= k < len(self):
             raise IndexError("redex position out of range")
+        weights = self._weights
         start = 0
         for block in self._blocks:
-            weight = sum(n * self._weight(cls) for cls, n in block.counts.items())
+            weight = sum(n * weights.get(cls, 0) for cls, n in block.counts.items())
             if k < weight:
                 break
             k -= weight
             start += len(block.items)
         for offset, (cls, thread, _) in enumerate(block.items):
-            weight = self._weight(cls)
+            weight = weights.get(cls, 0)
             if k < weight:
                 kind, key = cls
                 i = start + offset
+                located = [(block, offset)]
                 if kind == _CHOICE:
-                    return Redex(_CHOICE_KINDS[k], (i,))
-                if kind == _REP:
-                    return Redex("replicate", (i,))
-                j, out = self._nth_output(key, k)
-                bare = thread.subject.is_bare and out.subject.is_bare
-                return Redex("comm" if bare else "c-solve", (i, j), thread.subject.base)
+                    redex = Redex(_CHOICE_KINDS[k], (i,))
+                elif kind == _REP:
+                    redex = Redex("replicate", (i,))
+                else:
+                    j, other, at, out = self._nth_output(key, k)
+                    located.append((other, at))
+                    bare = thread.subject.is_bare and out.subject.is_bare
+                    redex = Redex("comm" if bare else "c-solve", (i, j), thread.subject.base)
+                self._drawn = (redex, located)
+                return redex
             k -= weight
         raise AssertionError("block counts disagree with their threads")
 
-    def _nth_output(self, key: tuple, k: int) -> tuple[int, COutput]:
-        """The position and thread of the ``k``-th output on ``key``."""
+    def _nth_output(self, key: tuple, k: int) -> tuple[int, _Block, int, COutput]:
+        """The position, block, offset there and thread of the ``k``-th
+        output on ``key``."""
         cls = (_OUT, key)
         start = 0
         for block in self._blocks:
@@ -220,7 +228,7 @@ class ThreadIndex:
         for offset, (other, thread, _) in enumerate(block.items):
             if other == cls:
                 if not k:
-                    return start + offset, thread
+                    return start + offset, block, offset, thread
                 k -= 1
         raise AssertionError("block counts disagree with their threads")
 
@@ -231,41 +239,38 @@ class ThreadIndex:
 
     def step(
         self, redex: Redex
-    ) -> tuple[str, tuple[str, ...], dict[int, CastProcess], dict[int, tuple[CastProcess, ...]]]:
+    ) -> tuple[str, tuple[str, ...], tuple[CastProcess, ...], tuple[CastProcess, ...]]:
         """Apply one redex in place, as ``_reduce`` applies it to a configuration.
 
-        Returns the trace rule and its detail, the participants by position,
-        and the processes that replaced each (before flattening).
+        Returns the trace rule and its detail, the participants and the
+        processes that replaced them (before flattening), each in thread
+        order.  A redex that ``redex`` has just built is not located again.
         """
         if self.halted is not None:
             raise ValueError("cannot step a halted configuration")
-        located = self._locate(redex.participants)
-        participants = {k: block.items[offset][1] for k, (block, offset) in located.items()}
-        signature = (redex.kind, *(participants[k] for k in redex.participants))
+        drawn, self._drawn = self._drawn, None
+        positions = redex.participants
+        located = drawn[1] if drawn is not None and drawn[0] is redex else self._locate(positions)
+        participants = tuple([block.items[offset][1] for block, offset in located])
+        signature = (redex.kind, *participants)
         move = self._moves.get(signature)
         if move is None:
-            rule, detail, results, halted = _effects(redex, signature[1:])
-            replaced = tuple(tuple(results[k]) for k in redex.participants)
-            move = self._moves[signature] = rule, detail, replaced, halted
-        rule, detail, replaced, halted = move
-        results = dict(zip(redex.participants, replaced))
-        hoist = _fresh_names(self.protected, self.restrictions, self._iter_threads(), results)
-        halts: list[Halt] = []
-        flat: dict[int, list[CastProcess]] = {}
-        for k in sorted(results):  # hoisted names are picked in thread order
-            flat[k] = []
-            for item in results[k]:
-                _flatten_into(item, self.restrictions, flat[k], hoist, halts)
-        for k in sorted(flat, reverse=True):  # so each earlier offset stays valid
-            self._replace(*located[k], flat[k])
-        for block, _ in located.values():
+            move = self._moves[signature] = _learn(redex, participants)
+        rule, detail, halted, flat, replaced, sides = move
+        if flat is None:  # a hoisted name must be fresh in the current threads
+            results = dict(zip(positions, replaced))
+            hoist = _fresh_names(self.protected, self.restrictions, self._iter_threads(), results)
+            flat, halted = _flatten(positions, replaced, self.restrictions, hoist, halted)
+        for _, (block, offset), threads in sorted(zip(positions, located, flat), reverse=True):
+            self._replace(block, offset, threads)  # in reverse thread order, so each earlier offset stays valid
+        for block, _ in located:
             self._tidy(block)
-        self.halted = halted or (halts[0] if halts else None)
-        return rule, detail, participants, results
+        self.halted = halted
+        return rule, detail, *sides[positions[0] > positions[-1]]
 
-    def _locate(self, positions: Iterable[int]) -> dict[int, tuple[_Block, int]]:
-        """The block holding each thread position, and the offset there, in
-        one walk over the blocks."""
+    def _locate(self, positions: tuple[int, ...]) -> list[tuple[_Block, int]]:
+        """The block holding each of ``positions``, in their order, and the
+        offset there, found in one walk over the blocks."""
         pending = sorted(positions, reverse=True)
         if pending and pending[-1] < 0:
             raise IndexError("thread position out of range")
@@ -281,20 +286,27 @@ class ThreadIndex:
             start = end
         if pending:
             raise IndexError("thread position out of range")
-        return found
+        return [found[k] for k in positions]
 
-    def _replace(self, block: _Block, offset: int, threads: list[CastProcess]) -> None:
-        # The new threads enter before the old one leaves, so a thread that
-        # stays (a replicated one, say) keeps its facts.
-        new = [self._item(thread) for thread in threads]
+    def _replace(self, block: _Block, offset: int, threads: Iterable[CastProcess]) -> None:
+        old = block.items[offset]
+        new = list(map(self._item, threads))
+        block.items[offset : offset + 1] = new
+        self._n += len(new) - 1
+        if len(new) == 1 and new[0][0] == old[0] and new[0][2] == old[2]:
+            # Same class and heads (a c-solve's pair): no count changes.
+            self._hold(new[0], 1)
+            self._hold(old, -1)
+            return
+        stays = old in new  # a replicated thread stays beside its copy
+        if stays:
+            new.remove(old)
         for item in new:
             _add(block.counts, item[0], 1)
             self._enter(item, 1)
-        old = block.items[offset]
-        _add(block.counts, old[0], -1)
-        self._enter(old, -1)
-        block.items[offset : offset + 1] = new
-        self._n += len(new) - 1
+        if not stays:
+            _add(block.counts, old[0], -1)
+            self._enter(old, -1)
 
     def _tidy(self, block: _Block) -> None:
         """Keep ``block`` between a quarter of and twice the target size: an
@@ -311,3 +323,31 @@ class ThreadIndex:
             items, end = items + self._blocks[end].items, end + 1
         self._size = size = max(_MIN_BLOCK, isqrt(self._n))
         self._blocks[b:end] = [_Block(items[k : k + size]) for k in range(0, len(items), size)]
+
+
+def _learn(redex: Redex, participants: tuple[CastProcess, ...]) -> tuple:
+    """What ``redex`` does to ``participants``, kept for each later step
+    with the same kind and participants: its rule, detail and halt, the
+    flattened threads that replace each participant (``None`` when it
+    hoists a restriction, whose name depends on the current threads), the
+    unflattened ones, and the trace's before and after sides with the
+    participants in order and reversed."""
+    rule, detail, results, halted = _effects(redex, participants)
+    replaced = tuple(tuple(results[k]) for k in redex.participants)
+    hoisted: list = []
+    flat, halted = _flatten(redex.participants, replaced, hoisted, lambda x: x, halted)
+    sides = ((participants, sum(replaced, ())), (participants[::-1], sum(replaced[::-1], ())))
+    return rule, detail, halted, None if hoisted else flat, replaced, sides
+
+
+def _flatten(
+    positions: tuple[int, ...], replaced: tuple, restrictions: list, hoist: Callable, halted: Optional[Halt]
+) -> tuple[list, Optional[Halt]]:
+    """The threads that replace each participant, flattened in thread order,
+    in which hoisted names are picked, and the halt of the step."""
+    halts: list[Halt] = []
+    flat: list[list[CastProcess]] = [[] for _ in positions]
+    for n in sorted(range(len(positions)), key=positions.__getitem__):
+        for item in replaced[n]:
+            _flatten_into(item, restrictions, flat[n], hoist, halts)
+    return flat, halted or (halts[0] if halts else None)

@@ -460,10 +460,13 @@ def test_deep_terms_run_exhaustive(capsys, tmp_path):
     path.write_text("chan a : o();\nrun " + "a!<>." * 10_000 + "0\n", encoding="utf-8")
     stuck = "TERMINALS: normal-stuck\n--- witness: normal-stuck\nHALT: normal-stuck\n"
     assert run_cli(capsys, "run", str(path), "--mode", "exhaustive", "--depth", "3") == (0, stuck, "")
-    path.write_text("chan a : dyn;\nrun !(" + " | ".join(["a!<>"] * 2000) + ") | a?().0\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "run", str(path), "--mode", "exhaustive", "--depth", "3")
-    assert (code, out.splitlines()[0], err) == (5, "TERMINALS: normal-stuck depth-exceeded", "")
-    assert out.endswith("HALT: depth-exceeded\n")
+    # A state expands each distinct move once, so a replica's 10,000 equal
+    # outputs give one successor, not 10,000 equal ones.
+    for width in (2000, 10_000):
+        path.write_text("chan a : dyn;\nrun !(" + " | ".join(["a!<>"] * width) + ") | a?().0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path), "--mode", "exhaustive", "--depth", "3")
+        assert (code, out.splitlines()[0], err) == (5, "TERMINALS: normal-stuck depth-exceeded", "")
+        assert out.endswith("HALT: depth-exceeded\n")
 
 
 def test_malformed_cast_is_internal_error_exit_seventy(capsys, monkeypatch):

@@ -531,6 +531,23 @@ def test_races_of_distinct_values_queue_no_more_states_than_of_one_value(monkeyp
     assert distinct <= 1000
 
 
+def test_explorer_keys_each_distinct_move_of_a_state_once(monkeypatch):
+    # Two options of a state with one participant id, partner id (or kind)
+    # and restriction count are one move: their successors differ only in
+    # thread order, so they have one key, and the first is the one queued.
+    # Keying every option would take 16,450 keys on the one-value k=6 race
+    # and 8,005 on the 2,000-wide replicated body.  The body's 2,000 outputs
+    # are one id; the race's outputs are not, once some have been solved.
+    wide = compile_text("chan a : dyn;\nrun !(" + " | ".join(["a!<>"] * 2000) + ") | a?().0\n")
+    key = runtime.configuration_key
+    for cfg, depth, keys in ((race(6, 1), 40, 3249), (wide, 3, 9)):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime, "configuration_key", lambda *args: calls.append(1) or key(*args))
+            run(cfg, Exhaustive(depth), trace=False)
+        assert len(calls) == keys
+
+
 def test_no_two_states_queued_are_alpha_equivalent_when_names_are_spelt_apart(monkeypatch):
     # Ordering tied threads by their written text, as the printed key does,
     # queues 19 states here, two of them alpha-equivalent: their texts differ
@@ -649,9 +666,12 @@ CLASH = "chan a : dyn;\nchan y : dyn;\nrun a?().new (y:o()) y!<>.0 | a!<>.0 | y?
 def assert_index_follows_rebuild(cfg: Configuration, seed: int, steps: int) -> tuple[int, int]:
     """A seeded walk from `cfg` kept in one `ThreadIndex`; at every state the
     index counts and builds the redexes of the naive enumeration of its
-    materialised configuration, and every step leaves the configuration that
-    `_reduce` (through `_rebuild`) builds, its moves looked up in the index's
-    move table once learnt.  Returns the states checked and the moves learnt."""
+    materialised configuration, and every step leaves the configuration and
+    the trace event that `runtime.step` (through `_rebuild`) builds, its
+    moves looked up in the index's move table once learnt.  Steps alternate
+    between a naive redex, which the index locates, and the one its
+    `redex(k)` has just built, whose participants it has recorded.
+    Returns the states checked and the moves learnt."""
     index, rng = ThreadIndex(cfg), random.Random(seed)
     for checked in range(1, steps + 1):
         materialised = index.configuration()
@@ -662,9 +682,10 @@ def assert_index_follows_rebuild(cfg: Configuration, seed: int, steps: int) -> t
         assert set(index._live) == set(index.threads())  # nothing dropped is kept
         if not expected:
             return checked, len(index._moves)
-        redex = expected[rng.randrange(len(expected))]
-        cfg, rule, detail, _ = runtime._reduce(cfg, redex)
-        assert index.step(redex)[:2] == (rule, detail)
+        k = rng.randrange(len(expected))
+        cfg, event = runtime.step(cfg, expected[k])
+        redex = index.redex(k) if checked % 2 else expected[k]
+        assert index.step(redex) == (event.rule, event.detail, event.before, event.after)
     return steps, len(index._moves)
 
 
