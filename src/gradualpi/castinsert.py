@@ -11,9 +11,8 @@ display every optimism site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     Capability,
@@ -58,8 +57,7 @@ def reverse_type(t: Type) -> Type:
     return ChanType(t.cap.flipped(), t.args)
 
 
-@dataclass(frozen=True)
-class CastSite:
+class CastSite(NamedTuple):
     """One consistency site and the cast it induced (possibly elided)."""
 
     span: Optional[Span]
@@ -77,8 +75,7 @@ class CastSite:
         return f"{line}:{col}: {self.subject} : {self.source} => {self.target}{note}"
 
 
-@dataclass(frozen=True)
-class CompilationOutput:
+class CompilationOutput(NamedTuple):
     proc: CastProcess
     sites: tuple[CastSite, ...]
 

@@ -10,7 +10,6 @@ omitted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from .syntax import (
@@ -73,13 +72,12 @@ class DuplicateDeclarationError(GpiParseError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """A parsed `.gpi` file: declared channel types and the process to run."""
 
     env: TypeEnv
     proc: SurfaceProcess
-    source: Optional[str] = field(default=None, compare=False)
+    source: Optional[str] = None
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +248,7 @@ class _Parser:
                     return proc
                 close = self.expect(")")
                 tok, pars, choices, pending = groups.pop()
-                proc = replace(proc, span=Span(tok.line, tok.col, close.line, close.end_col))
+                proc = proc._replace(span=Span(tok.line, tok.col, close.line, close.end_col))
             self.pos += 1
             if kind == "+":
                 choices.append(proc)

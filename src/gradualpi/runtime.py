@@ -41,8 +41,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .parser import format_channel, print_cast
 from .syntax import (
@@ -85,8 +84,7 @@ class InteractiveAbort(Exception):
     """The interactive chooser gave up (end of input)."""
 
 
-@dataclass(frozen=True)
-class Halt:
+class Halt(NamedTuple):
     status: Status
     failing: Optional[CastChannel] = None
     rule: Optional[str] = None  # the failing cast rule: "c-out-fail" | "c-in-fail"
@@ -97,8 +95,7 @@ class Halt:
         return self.status.value
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Canonical run-time state: hoisted restrictions plus a thread list."""
 
     restrictions: tuple[tuple[Name, Type], ...]
@@ -107,8 +104,7 @@ class Configuration:
     protected: frozenset[Name] = frozenset()
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     kind: str  # "comm" | "c-solve" | "choice-left" | "choice-right" | "replicate"
     participants: tuple[int, ...]
     channel: Optional[Name] = None
@@ -120,8 +116,7 @@ class Redex:
         return f"{self.kind} (thread {self.participants[0]})"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One step: the participants before it and what replaced them after it,
     each side in thread order.  The terms are rendered only by ``format``."""
 
@@ -140,15 +135,13 @@ class TraceEvent:
         return f"#{self.index} [{label}] {before} --> {after}"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     status: Status
     halt: Halt
     trace: tuple[TraceEvent, ...]
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     outcomes: tuple[Outcome, ...]
 
     def statuses(self) -> tuple[Status, ...]:
@@ -626,19 +619,16 @@ def configuration_key(ids: IdTable, thread_ids: Sequence[int], status: Optional[
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Seeded:
+class Seeded(NamedTuple):
     seed: int = 0
     max_steps: int = 1000
 
 
-@dataclass(frozen=True)
-class Exhaustive:
+class Exhaustive(NamedTuple):
     depth: int = 20
 
 
-@dataclass(frozen=True)
-class Interactive:
+class Interactive(NamedTuple):
     choose: Callable[[Configuration, tuple[Redex, ...]], Optional[int]]
     max_steps: int = 1000
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 import enum
 import itertools
 import weakref
-from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class Capability(enum.Enum):
@@ -25,23 +24,32 @@ class Capability(enum.Enum):
     IN = "i"
     OUT = "o"
 
+    __hash__ = object.__hash__  # two members: identity suffices, and it hashes in C
+
     def flipped(self) -> "Capability":
         return Capability.OUT if self is Capability.IN else Capability.IN
 
 
-@dataclass(frozen=True)
 class Dyn:
-    """The dynamic type: the channel's capability is unknown until run time."""
+    """The dynamic type: the channel's capability is unknown until run time.
+    It has one value, ``DYN``, which every ``Dyn()`` returns."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Dyn":
+        return DYN
+
+    def __repr__(self) -> str:
+        return "Dyn()"
 
     def __str__(self) -> str:
         return "dyn"
 
 
-DYN = Dyn()
+DYN = object.__new__(Dyn)
 
 
-@dataclass(frozen=True)
-class ChanType:
+class ChanType(NamedTuple):
     """A capability type: usable for ``cap`` only, carrying ``args``."""
 
     cap: Capability
@@ -54,8 +62,7 @@ class ChanType:
 Type = Union[Dyn, ChanType]
 
 
-@dataclass(frozen=True, order=True)
-class Name:
+class Name(NamedTuple):
     """A channel name.
 
     ``index`` is bumped only by alpha-renaming; user-written names always
@@ -77,8 +84,7 @@ def fresh_name(like: Name, avoid: Container[Name]) -> Name:
     return Name(like.base, k)
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open source range (1-based lines and columns)."""
 
     line: int
@@ -95,19 +101,47 @@ class UnboundNameError(LookupError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class TypeEnv:
+class _Node:
+    """What the node classes of both calculi share (see ``_node``), and
+    ``TypeEnv``: a field-by-field repr (``span`` is left out), ``_replace``
+    as on a ``NamedTuple``, and no assignment after construction."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _replace(self, **changes):
+        return type(self)(**{n: changes.pop(n, getattr(self, n)) for n in self._fields}, **changes)
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # imported on this error path only
+
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class TypeEnv(_Node):
     """A finite map from names to types; later bindings shadow earlier ones.
 
     ``bindings`` is the whole value; ``_types`` indexes it by name (the last
     binding of each name) and takes no part in equality, hashing or repr.
     """
 
-    bindings: tuple[tuple[Name, Type], ...] = ()
-    _types: dict[Name, Type] = field(init=False, compare=False, repr=False)
+    __slots__ = ("bindings", "_types")
+    _fields = _compared = ("bindings",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_types", dict(self.bindings))
+    def __init__(self, bindings: tuple[tuple[Name, Type], ...] = ()):
+        object.__setattr__(self, "bindings", bindings)
+        object.__setattr__(self, "_types", dict(bindings))
+
+    def __eq__(self, other):
+        return self.bindings == other.bindings if type(other) is TypeEnv else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.bindings)
 
     def lookup(self, name: Name) -> Type:
         try:
@@ -127,74 +161,7 @@ class TypeEnv:
 
 
 # --------------------------------------------------------------------------
-# Surface calculus
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Nil:
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Input:
-    subject: Name
-    binders: tuple[tuple[Name, Type], ...]
-    body: "SurfaceProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Output:
-    subject: Name
-    args: tuple[Name, ...]
-    body: "SurfaceProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class ReverseOutput:
-    """Output that advertises the flipped capability of each sent channel."""
-
-    subject: Name
-    args: tuple[Name, ...]
-    body: "SurfaceProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Par:
-    left: "SurfaceProcess"
-    right: "SurfaceProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Choice:
-    left: "SurfaceProcess"
-    right: "SurfaceProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Restrict:
-    name: Name
-    type: Type
-    body: "SurfaceProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Replicate:
-    body: "SurfaceProcess"
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
-
-
-SurfaceProcess = Union[Nil, Input, Output, ReverseOutput, Par, Choice, Restrict, Replicate]
-
-
-# --------------------------------------------------------------------------
-# Cast calculus
+# Node classes
 # --------------------------------------------------------------------------
 
 
@@ -203,7 +170,8 @@ SurfaceProcess = Union[Nil, Input, Output, ReverseOutput, Par, Choice, Restrict,
 # with its class and fields, so structurally equal terms are one object,
 # equality is identity and a term hashes by its address in O(1), however
 # deep it is.  The table holds its terms weakly: an entry goes when its term
-# is freed.  Types and names are not interned; they hash by value.
+# is freed.  Types and names are not interned; they are named tuples, so
+# they are built, hashed and compared by value, in C.
 
 
 class _Ref(weakref.ref):
@@ -219,7 +187,7 @@ def _forget(ref: _Ref, terms: dict[tuple, _Ref] = _terms) -> None:
         terms[ref.key] = found
 
 
-_NEW = """
+_INTERNED = """
 def __new__(cls, {params}):
     key = (cls, {fields})
     ref = terms.get(key)
@@ -234,31 +202,126 @@ def __new__(cls, {params}):
     return term
 """
 
+_PLAIN = """
+def __new__(cls, {params}):
+    term = new(cls)
+    {setters}
+    return term
 
-def _cast_term(cls=None, **defaults):
-    """Make ``cls`` (slots for its fields and a weak reference) a frozen
-    dataclass compared by identity and built through the intern table,
-    positionally or by keyword; ``defaults`` are its last fields' defaults
-    (a class with slots cannot declare them).  The constructor is compiled
-    from its fields, as ``dataclass`` compiles an ``__init__``."""
+def __eq__(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return ({mine}) == ({theirs})
+
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+def _node(cls=None, *, intern: bool = True):
+    """Rebuild ``cls`` as a node class with a slot for each annotated field
+    (a field's class attribute is its default): built positionally or by
+    keyword through a constructor compiled from the fields.  An interned
+    class is built through the intern table and compared by identity; any
+    other compares and hashes by every field but ``span``."""
     if cls is None:
-        return partial(_cast_term, **defaults)
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
-    names = [f.name for f in fields(cls)]
-    source = _NEW.format(
+        return partial(_node, intern=intern)
+    ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    names = tuple(ns.get("__annotations__", ()))
+    defaults = {n: ns.pop(n) for n in names if n in ns}
+    compared = tuple(n for n in names if n != "span")
+    ns.update(__slots__=names + ("__weakref__",) if intern else names, __match_args__=names, _fields=names, _compared=compared)
+    source = (_INTERNED if intern else _PLAIN).format(
         params=", ".join(f"{n}=defaults[{n!r}]" if n in defaults else n for n in names),
         fields="".join(f"{n}, " for n in names),
-        setters="\n    ".join(f"setattr(term, {n!r}, {n})" for n in names),
+        setters="\n    ".join(f"set_{n}(term, {n})" for n in names),
+        mine="".join(f"self.{n}, " for n in compared),
+        theirs="".join(f"other.{n}, " for n in compared),
     )
     scope = {"terms": _terms, "Ref": _Ref, "forget": _forget, "new": object.__new__, "defaults": defaults}
-    scope["setattr"] = object.__setattr__  # the dataclass's own refuses
     exec(source, scope)
-    cls.__new__ = scope["__new__"]
-    cls.__new__.__qualname__ = f"{cls.__qualname__}.__new__"
+    for method in ("__new__", "__eq__", "__hash__"):
+        if method in scope:
+            ns[method] = scope[method]
+            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+    cls = type(cls.__name__, (_Node,), ns)
+    scope.update((f"set_{n}", getattr(cls, n).__set__) for n in names)  # the slots' own setters: the node's refuse
     return cls
 
 
-@_cast_term(casts=())
+# --------------------------------------------------------------------------
+# Surface calculus
+# --------------------------------------------------------------------------
+
+
+@_node(intern=False)
+class Nil:
+    span: Optional[Span] = None
+
+
+@_node(intern=False)
+class Input:
+    subject: Name
+    binders: tuple[tuple[Name, Type], ...]
+    body: "SurfaceProcess"
+    span: Optional[Span] = None
+
+
+@_node(intern=False)
+class Output:
+    subject: Name
+    args: tuple[Name, ...]
+    body: "SurfaceProcess"
+    span: Optional[Span] = None
+
+
+@_node(intern=False)
+class ReverseOutput:
+    """Output that advertises the flipped capability of each sent channel."""
+
+    subject: Name
+    args: tuple[Name, ...]
+    body: "SurfaceProcess"
+    span: Optional[Span] = None
+
+
+@_node(intern=False)
+class Par:
+    left: "SurfaceProcess"
+    right: "SurfaceProcess"
+    span: Optional[Span] = None
+
+
+@_node(intern=False)
+class Choice:
+    left: "SurfaceProcess"
+    right: "SurfaceProcess"
+    span: Optional[Span] = None
+
+
+@_node(intern=False)
+class Restrict:
+    name: Name
+    type: Type
+    body: "SurfaceProcess"
+    span: Optional[Span] = None
+
+
+@_node(intern=False)
+class Replicate:
+    body: "SurfaceProcess"
+    span: Optional[Span] = None
+
+
+SurfaceProcess = Union[Nil, Input, Output, ReverseOutput, Par, Choice, Restrict, Replicate]
+
+
+# --------------------------------------------------------------------------
+# Cast calculus
+# --------------------------------------------------------------------------
+
+
+@_node
 class CastChannel:
     """A channel name under zero or more casts, outermost frame last.
 
@@ -268,9 +331,8 @@ class CastChannel:
     substitution keep whatever seam the merge produced.
     """
 
-    __slots__ = ("base", "casts", "__weakref__")
     base: Name
-    casts: tuple[tuple[Type, Type], ...]
+    casts: tuple[tuple[Type, Type], ...] = ()
 
     @property
     def is_bare(self) -> bool:
@@ -283,62 +345,52 @@ class CastChannel:
         return CastChannel(self.base, self.casts + ((source, target),))
 
 
-@_cast_term
+@_node
 class CNil:
     """The inert process."""
 
-    __slots__ = ("__weakref__",)
 
-
-@_cast_term
+@_node
 class CInput:
-    __slots__ = ("subject", "binders", "body", "__weakref__")
     subject: CastChannel
     binders: tuple[tuple[Name, Type], ...]
     body: "CastProcess"
 
 
-@_cast_term
+@_node
 class COutput:
-    __slots__ = ("subject", "args", "body", "__weakref__")
     subject: CastChannel
     args: tuple[CastChannel, ...]
     body: "CastProcess"
 
 
-@_cast_term
+@_node
 class CPar:
-    __slots__ = ("left", "right", "__weakref__")
     left: "CastProcess"
     right: "CastProcess"
 
 
-@_cast_term
+@_node
 class CChoice:
-    __slots__ = ("left", "right", "__weakref__")
     left: "CastProcess"
     right: "CastProcess"
 
 
-@_cast_term
+@_node
 class CRestrict:
-    __slots__ = ("name", "type", "body", "__weakref__")
     name: Name
     type: Type
     body: "CastProcess"
 
 
-@_cast_term
+@_node
 class CReplicate:
-    __slots__ = ("body", "__weakref__")
     body: "CastProcess"
 
 
-@_cast_term
+@_node
 class CTypeError:
     """The terminal process left behind by a failed run-time cast."""
-
-    __slots__ = ("__weakref__",)
 
 
 CastProcess = Union[CNil, CInput, COutput, CPar, CChoice, CRestrict, CReplicate, CTypeError]

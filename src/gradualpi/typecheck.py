@@ -9,8 +9,7 @@ stopping at the first, and log each capability comparison they perform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .syntax import (
     Capability,
@@ -53,8 +52,7 @@ def _equal(t: Type, s: Type) -> bool:
     return t == s
 
 
-@dataclass(frozen=True)
-class TypeDiagnostic:
+class TypeDiagnostic(NamedTuple):
     """One reason a process was rejected."""
 
     rule: str  # "t-in" | "t-out" | "env-lookup"
@@ -70,8 +68,7 @@ class TypeDiagnostic:
         return f"{source}:{line}:{col}: [{self.rule}] expected {self.found} ~ {self.expected}"
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
+class ConsistencyCheck(NamedTuple):
     """One capability comparison performed by the checker."""
 
     rule: str  # "t-in" | "t-out"
@@ -82,8 +79,7 @@ class ConsistencyCheck:
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     diagnostics: tuple[TypeDiagnostic, ...]
     checks: tuple[ConsistencyCheck, ...]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import string
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from gradualpi.parser import (
@@ -553,7 +553,7 @@ class _ReferenceParser(_Parser):
             self.next()
             inner = self.parse_process()
             close = self.expect(")")
-            return replace(inner, span=Span(tok.line, tok.col, close.line, close.end_col))
+            return inner._replace(span=Span(tok.line, tok.col, close.line, close.end_col))
         if tok.kind == "ident":
             return self.parse_prefixed(tok)
         self.fail(("0", "!", "new", "(", "channel name"))

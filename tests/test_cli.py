@@ -113,6 +113,21 @@ def test_each_runtime_module_loads_on_the_first_run_that_needs_it():
     assert done.stderr.splitlines() == ["", "", "gradualpi.threadindex", "gradualpi.threadindex gradualpi.symmetry"]
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # Every class of the program is built without generated dataclass code,
+    # so importing the CLI and the runtime loads neither module.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = "import sys\nimport gradualpi.cli, gradualpi.runtime\nprint(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "check", "no/such/file.gpi")
     assert code == 4

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter, deque
-from dataclasses import replace
 
 from conftest import RUNNABLE_CORPUS, compile_corpus, state_key
 from gen import random_party_set
@@ -334,7 +333,7 @@ def test_redex_plan_counts_and_builds_the_reference_order():
     for cfg, node, redexes in planned:
         assert [t for _, t in cfg.restrictions] == [t for _, t in node.restrictions]
         names = {x: y for (x, _), (y, _) in zip(cfg.restrictions, node.restrictions)}
-        renamed = tuple(replace(r, channel=names.get(r.channel, r.channel)) for r in redex_plan(cfg).redexes())
+        renamed = tuple(r._replace(channel=names.get(r.channel, r.channel)) for r in redex_plan(cfg).redexes())
         assert redexes == renamed
         hoisted += cfg.restrictions != node.restrictions
     assert len(keyed) > 1000 and len(planned) > 1000 and hoisted > 100

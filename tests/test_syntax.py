@@ -8,8 +8,9 @@ import pytest
 
 from gen import random_surface, random_type
 import oracles
-from conftest import corpus_run_threads, load
+from conftest import CORPUS, corpus_run_threads, load
 from oracles import all_names, oracle_alpha_equal
+from gradualpi.parser import parse
 from gradualpi.syntax import (
     Capability,
     CastChannel,
@@ -23,6 +24,7 @@ from gradualpi.syntax import (
     CReplicate,
     CRestrict,
     DYN,
+    Dyn,
     Input,
     Name,
     Nil,
@@ -31,6 +33,7 @@ from gradualpi.syntax import (
     Replicate,
     Restrict,
     ReverseOutput,
+    Span,
     TypeEnv,
     UnboundNameError,
     _terms,
@@ -211,6 +214,55 @@ def test_env_equality_and_hash_depend_on_bindings_only():
     assert repr(TypeEnv(((a, T),))) == f"TypeEnv(bindings=(({a!r}, {T!r}),))"
 
 
+def test_values_and_records_keep_their_reprs_and_their_order():
+    from gradualpi.castinsert import CastSite
+    from gradualpi.runtime import Halt, Redex, Seeded, Status
+    from gradualpi.typecheck import ConsistencyCheck
+
+    span = Span(1, 2, 3, 4)
+    assert repr(Name("x", 1)) == "Name(base='x', index=1)"
+    assert repr(ChanType(Capability.OUT, (DYN,))) == "ChanType(cap=<Capability.OUT: 'o'>, args=(Dyn(),))"
+    assert repr(span) == "Span(line=1, col=2, end_line=3, end_col=4)"
+    assert repr(Redex("comm", (0, 1), a)) == f"Redex(kind='comm', participants=(0, 1), channel={a!r})"
+    assert repr(Halt(Status.NORMAL_STUCK)) == "Halt(status=<Status.NORMAL_STUCK: 'normal-stuck'>, failing=None, rule=None)"
+    assert repr(Seeded()) == "Seeded(seed=0, max_steps=1000)"
+    assert repr(CastSite(span, a, DYN, T)) == f"CastSite(span={span!r}, subject={a!r}, source=Dyn(), target={T!r})"
+    check = ConsistencyCheck("t-out", a, DYN, T, True)
+    assert repr(check) == f"ConsistencyCheck(rule='t-out', subject={a!r}, left=Dyn(), right={T!r}, holds=True, span=None)"
+    assert repr(Input(a, ((x, T),), Nil(span), span)) == f"Input(subject={a!r}, binders=(({x!r}, {T!r}),), body=Nil())"
+    assert sorted([Name("b"), Name("a", 2), Name("a"), Name("a", 1)]) == [Name("a"), Name("a", 1), Name("a", 2), Name("b")]
+    assert Name("a", 9) < Name("b") and not Name("a", 1) < Name("a", 1)
+    assert Dyn() is DYN and ChanType(Capability.IN) == ChanType(Capability.IN, ())
+    assert Name("x", 1) == ("x", 1) and span == (1, 2, 3, 4)  # a value equals the plain tuple of its fields
+
+
+def test_surface_nodes_compare_without_their_spans():
+    here, there = Span(1, 1, 1, 9), Span(7, 3, 8, 1)
+    p = Input(a, ((x, T),), Par(Nil(here), Nil(there), here), here)
+    q = Input(a, ((x, T),), Par(Nil(), Nil()), there)
+    assert p == q and hash(p) == hash(q) and p.span != q.span
+    assert p != Input(a, ((y, T),), Par(Nil(), Nil())) and Nil() != CNil()
+    assert q._replace(span=here).span == here and q._replace(span=here) == q
+    text = (CORPUS / "client.gpi").read_text(encoding="utf-8")
+    first, shifted = parse(text).proc, parse("\n\n" + text).proc  # every span two lines down
+    assert first == shifted and hash(first) == hash(shifted) and first.span != shifted.span
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.span = here
+
+
+def test_a_deep_channel_type_hashes_in_c():
+    def deep(n: int) -> ChanType:
+        t = DYN
+        for k in range(n):
+            t = ChanType(Capability.OUT if k % 2 else Capability.IN, (t,))
+        return t
+
+    first, second = deep(5_000), deep(5_000)
+    assert first is not second and hash(first) == hash(second)
+    assert first == first and {first: 1}[first] == 1
+    assert first != ChanType(first.cap.flipped(), first.args) and first != DYN  # decided at the top
+
+
 # --------------------------------------------------------------------------
 # cast stacks
 # --------------------------------------------------------------------------
@@ -258,8 +310,8 @@ def test_equal_cast_terms_are_one_object_by_every_route():
     assert bare(a).push(T, T) is bare(a)
     assert CastChannel(base=a) is bare(a) and CastChannel(a, casts=()) is bare(a)
     assert CRestrict(name=x, type=T, body=CNil()) is CRestrict(x, T, CNil())
-    assert dataclasses.replace(proc, binders=((x, T),)) is proc
-    assert dataclasses.replace(proc, body=CNil()) is CInput(bare(a), ((x, T),), CNil())
+    assert proc._replace(binders=((x, T),)) is proc
+    assert proc._replace(body=CNil()) is CInput(bare(a), ((x, T),), CNil())
     assert CPar(CNil(), CNil()) is not CChoice(CNil(), CNil())  # the class is part of the key
     assert CInput(bare(a), ((x, T),), CNil()) is not CInput(bare(a), ((x, DYN),), CNil())
     assert hash(proc) == hash(CInput(bare(a), ((x, T),), COutput(bare(x), (bare(b),), CNil())))
