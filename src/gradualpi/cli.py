@@ -199,8 +199,7 @@ def cmd_run(args) -> int:
         print("TERMINALS: " + " ".join(s.value for s in report.statuses()))
         for outcome in report.outcomes:
             print(f"--- witness: {outcome.status.value}")
-            for line in format_trace(outcome):
-                print(line)
+            _print_lines(format_trace(outcome))
         statuses = set(report.statuses())
         if Status.TYPE_ERROR in statuses:
             return EXIT_TYPE_ERROR
@@ -219,9 +218,15 @@ def cmd_run(args) -> int:
         report = run(cfg, Seeded(args.seed, args.max_steps), trace=args.trace)
 
     outcome = report.outcomes[0]
-    for line in format_trace(outcome):
-        print(line)
+    _print_lines(format_trace(outcome))
     return _STATUS_EXIT[outcome.status]
+
+
+def _print_lines(lines: list[str]) -> None:
+    """Print ``lines`` in writes of at most 1,024 lines each, so a long
+    trace is never joined whole."""
+    for k in range(0, len(lines), 1024):
+        sys.stdout.write("\n".join(lines[k : k + 1024]) + "\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -144,6 +144,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.used: set[Name] = set()  # the names used as subjects and arguments
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -261,6 +262,7 @@ class _Parser:
         """`name?(binders)` or `name!<args>` or `name!!<args>`: the node
         class, its fields before the body, and the closing token."""
         subject = Name(self.next().text)
+        self.used.add(subject)
         tok = self.peek()
         if tok.kind == "?":
             self.next()
@@ -283,6 +285,7 @@ class _Parser:
                     self.next()
                     args.append(Name(self.expect("ident").text))
             close = self.expect(">")
+            self.used.update(args)
             return (Output if tok.kind == "!" else ReverseOutput), (subject, tuple(args)), close
         self.fail(("?", "!", "!!"))
         raise AssertionError
@@ -315,7 +318,8 @@ class _Parser:
         self.expect("run")
         proc = self.parse_process()
         self.expect("eof")
-        _check_declared(proc, frozenset(declared))
+        if not self.used <= declared:  # the walk finds which undeclared name is free, and where
+            _check_declared(proc, frozenset(declared))
         return Program(TypeEnv(tuple(decls)), proc, source)
 
 

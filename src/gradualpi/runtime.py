@@ -39,6 +39,7 @@ renders each distinct term once (``format_trace``).
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -128,11 +129,13 @@ class TraceEvent(NamedTuple):
 
     def format(self, render: Optional[Callable[[CastProcess], str]] = None) -> str:
         """The trace line; ``render`` prints a term (``print_cast`` by default)."""
-        render = render or print_cast
-        label = self.rule if not self.detail else f"{self.rule}: {', '.join(self.detail)}"
-        before = " | ".join(map(render, self.before))
-        after = " | ".join(map(render, self.after))
-        return f"#{self.index} [{label}] {before} --> {after}"
+        return f"#{self.index} {_move_text(render or print_cast, *self[1:])}"
+
+
+def _move_text(render: Callable[[CastProcess], str], rule, detail, before, after) -> str:
+    """A trace line after its ``#<n> ``: the rule and its detail, then both sides."""
+    label = rule if not detail else f"{rule}: {', '.join(detail)}"
+    return f"[{label}] {' | '.join(map(render, before))} --> {' | '.join(map(render, after))}"
 
 
 class Outcome(NamedTuple):
@@ -678,9 +681,9 @@ def _run_sequential(cfg: Configuration, pick, max_steps: int, trace: bool) -> Ou
         redex = pick(index)
         if redex is None:
             raise InteractiveAbort()
-        rule, detail, before, after = index.step(redex)
+        move = index.step(redex)
         if trace:
-            events.append(TraceEvent(steps, rule, detail, before, after))
+            events.append(tuple.__new__(TraceEvent, (steps, *move)))  # the fields in order, built in C
         steps += 1
 
 
@@ -823,16 +826,11 @@ def format_trace(outcome: Outcome) -> list[str]:
 
     Each distinct term is rendered once per trace: cast terms are
     hash-consed, so a term that recurs, on one line or on many, is one
-    object and one key of the memo.
+    object and one key of the memo.  The text after ``#<n> `` is rendered
+    once per distinct move ``(rule, detail, before, after)`` too: a learnt
+    move gives the same sides at every step that takes it.
     """
-    memo: dict[CastProcess, str] = {}
-
-    def render(term: CastProcess) -> str:
-        text = memo.get(term)
-        if text is None:
-            text = memo[term] = print_cast(term)
-        return text
-
-    lines = [event.format(render) for event in outcome.trace]
+    text = functools.cache(functools.partial(_move_text, functools.cache(print_cast)))
+    lines = [f"#{event.index} {text(*event[1:])}" for event in outcome.trace]
     lines.append(f"HALT: {outcome.halt.describe()}")
     return lines

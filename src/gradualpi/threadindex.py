@@ -35,6 +35,7 @@ from .syntax import CastProcess, COutput, CReplicate
 
 
 _MIN_BLOCK = 32  # threads per block, at least
+_new = tuple.__new__  # builds a named tuple from all its fields, without its Python-level constructor
 
 
 def _add(counts: dict, key: Hashable, delta: int) -> int:
@@ -50,13 +51,17 @@ def _add(counts: dict, key: Hashable, delta: int) -> int:
 class _Block:
     """A run of consecutive threads, counted by class ``(kind, key)``: the
     key is the channel key ``(base, index, arity)`` of an input or output,
-    and the thread itself for a replicated thread."""
+    and the thread itself for a replicated thread.  ``weight`` is the
+    number of redexes its threads offer, summed at the index's weights
+    version ``version``; -1 marks it unsummed since its counts changed."""
 
-    __slots__ = ("items", "counts")
+    __slots__ = ("items", "counts", "weight", "version")
 
     def __init__(self, items: list[tuple]):
         self.items = items  # (class, thread, heads) per thread, in thread order
         self.counts: dict[tuple, int] = {}
+        self.weight = 0
+        self.version = -1
         for item in items:
             _add(self.counts, item[0], 1)
 
@@ -74,22 +79,33 @@ class ThreadIndex:
     walks the blocks' weights, then one block, in the order of
     ``redex_plan``; it finds an input's partner, the k-th output on its key,
     the same way, and records where each participant sits for ``step``.  A
-    replicated thread is offered by the rule of ``runtime._plan``: the heads
-    on free names are kept as a multiset, and a replicated thread's
-    usefulness is recomputed only when a head it needs appears or
-    disappears.  So a step costs O(sqrt n) in the thread count n, except a
-    step that hoists a restriction, which scans every thread for the names
-    in use (as ``_rebuild`` does, picking the same fresh names).
+    block keeps its weight summed until its counts change or a class's
+    weight does (a version of the weights that each change bumps).  There
+    is one tuple per class while some thread is in it, so a block is
+    scanned for a class by identity, and a block of outputs on one key
+    alone is indexed directly.  A replicated thread is offered by the rule
+    of ``runtime._plan``: the heads on free names are kept as a multiset,
+    and a replicated thread's usefulness is recomputed only when a head it
+    needs appears or disappears.
+
+    So a draw walks O(n / b) blocks of b = max(32, sqrt n) threads, twice
+    for a communication, and scans one block each time; it re-sums a block
+    it passes only if that block changed or some weight did since.  A step
+    updates O(1) counts per thread that enters or leaves and splits or
+    merges at most its participants' blocks.  In all, O(sqrt n) in the
+    thread count n, except a step that hoists a restriction, which scans
+    every thread for the names in use (as ``_rebuild`` does, picking the
+    same fresh names).
 
     Cast terms are hash-consed, so equal threads are one object and hash in
     O(1).  Per-thread facts are kept by thread for as long as some position
     holds it, so they hold no thread the run has dropped.  What a redex
     does depends on its kind and its participants alone, so each move is
     learnt once per run and looked up by them: its rule, detail, halt, trace
-    sides and, unless it hoists a restriction, its flattened threads.  A
-    hoisting move's results are flattened at every step, so that the
-    hoisted restriction still takes a name that is fresh in the current
-    threads.
+    sides and, unless it hoists a restriction, its flattened threads, whose
+    facts are kept with it.  A hoisting move's results are flattened at
+    every step, so that the hoisted restriction still takes a name that is
+    fresh in the current threads.
     """
 
     def __init__(self, cfg: Configuration):
@@ -99,9 +115,12 @@ class ThreadIndex:
         self._live: dict[CastProcess, list] = {}  # thread -> [its item, positions holding it]
         self._totals: dict[tuple, int] = {}  # class -> threads in it
         self._weights: dict[tuple, int] = {(_CHOICE, None): 2}  # class -> redexes a thread in it offers
+        self._version = 0  # bumped by every change to ``_weights``: a block's summed weight holds for one version
+        self._classes: dict[tuple, tuple] = {}  # class -> the one tuple that is it, while a thread is in it
         self._needs: dict[CReplicate, tuple[_Head, ...]] = {}  # replicated thread -> heads a copy could meet
         self._needers: dict[_Head, set[CReplicate]] = {}  # head -> replicated threads that need it
         self._moves: dict[tuple, tuple] = {}  # (kind, *participants) -> what ``_learn`` gives
+        self._known: dict[CastProcess, tuple] = {}  # thread a learnt move flattens -> its ``_facts``
         self._drawn: Optional[tuple[Redex, list]] = None  # the redex ``redex`` built last, and where it sits
         self._heads: dict[_Head, int] = {}  # head on a free name -> threads that have it
         self._count = 0
@@ -119,14 +138,18 @@ class ThreadIndex:
         entry = self._live.get(thread)
         if entry is not None:
             return entry[0]
-        kind, key, heads, paired = _facts(thread)
-        if kind == _REP:
-            key = thread
-            needs = self._needs[key] = () if paired else _partner_heads(heads)  # a paired one is always useful
+        kind, key, heads, paired = self._known.get(thread) or _facts(thread)
+        if kind == _REP:  # its class is its own
+            cls = (kind, thread)
+            needs = self._needs[thread] = () if paired else _partner_heads(heads)  # a paired one is always useful
             for head in needs:
-                self._needers.setdefault(head, set()).add(key)
-            self._weights[kind, key] = int(paired or any(self._heads.get(head) for head in needs))
-        item = ((kind, key), thread, heads)
+                self._needers.setdefault(head, set()).add(thread)
+            self._weights[cls] = int(paired or any(self._heads.get(head) for head in needs))
+            self._version += 1
+        else:
+            cls = (kind, key)
+            cls = self._classes.setdefault(cls, cls)
+        item = (cls, thread, heads)
         self._live[thread] = [item, 0]
         return item
 
@@ -137,9 +160,11 @@ class ThreadIndex:
         if kind == _OUT:  # one more or one fewer partner for each input on its key
             self._count += delta * self._totals.get((_IN, key), 0)
             _add(self._weights, (_IN, key), delta)
+            self._version += 1
         else:
             self._count += delta * self._weights.get(cls, 0)
-        _add(self._totals, cls, delta)
+        if not _add(self._totals, cls, delta):  # no thread is in the class: drop its tuple
+            self._classes.pop(cls, None)
         for head in heads:
             if _add(self._heads, head, delta) == (1 if delta > 0 else 0):  # it appeared or disappeared
                 for rep in self._needers.get(head, ()):
@@ -148,15 +173,16 @@ class ThreadIndex:
 
     def _hold(self, item: tuple, delta: int) -> None:
         """Count a position in (1) or out (-1) of those holding a thread."""
-        (kind, key), thread, _ = item
+        cls, thread, _ = item
         entry = self._live[thread]
         entry[1] += delta
         if not entry[1]:  # no position holds the thread any more
             del self._live[thread]
-            if kind == _REP:
-                for head in self._needs.pop(key):
-                    self._needers[head].discard(key)
-                del self._weights[kind, key]
+            if cls[0] == _REP:
+                for head in self._needs.pop(thread):
+                    self._needers[head].discard(thread)
+                del self._weights[cls]
+                self._version += 1
 
     def _recompute(self, rep: CReplicate) -> None:
         cls = (_REP, rep)
@@ -164,6 +190,7 @@ class ThreadIndex:
         if useful != self._weights[cls]:
             self._count += (useful - self._weights[cls]) * self._totals.get(cls, 0)
             self._weights[cls] = useful
+            self._version += 1
 
     # -- reading ---------------------------------------------------------------
 
@@ -186,13 +213,15 @@ class ThreadIndex:
         """The redex at position ``k`` of the order of ``redex_plan``."""
         if not 0 <= k < len(self):
             raise IndexError("redex position out of range")
-        weights = self._weights
+        weights, version = self._weights, self._version
         start = 0
         for block in self._blocks:
-            weight = sum(n * weights.get(cls, 0) for cls, n in block.counts.items())
-            if k < weight:
+            if block.version != version:
+                block.weight = sum(n * weights.get(cls, 0) for cls, n in block.counts.items())
+                block.version = version
+            if k < block.weight:
                 break
-            k -= weight
+            k -= block.weight
             start += len(block.items)
         for offset, (cls, thread, _) in enumerate(block.items):
             weight = weights.get(cls, 0)
@@ -201,14 +230,14 @@ class ThreadIndex:
                 i = start + offset
                 located = [(block, offset)]
                 if kind == _CHOICE:
-                    redex = Redex(_CHOICE_KINDS[k], (i,))
+                    redex = _new(Redex, (_CHOICE_KINDS[k], (i,), None))
                 elif kind == _REP:
-                    redex = Redex("replicate", (i,))
+                    redex = _new(Redex, ("replicate", (i,), None))
                 else:
                     j, other, at, out = self._nth_output(key, k)
                     located.append((other, at))
-                    bare = thread.subject.is_bare and out.subject.is_bare
-                    redex = Redex("comm" if bare else "c-solve", (i, j), thread.subject.base)
+                    bare = not thread.subject.casts and not out.subject.casts
+                    redex = _new(Redex, ("comm" if bare else "c-solve", (i, j), thread.subject.base))
                 self._drawn = (redex, located)
                 return redex
             k -= weight
@@ -217,7 +246,7 @@ class ThreadIndex:
     def _nth_output(self, key: tuple, k: int) -> tuple[int, _Block, int, COutput]:
         """The position, block, offset there and thread of the ``k``-th
         output on ``key``."""
-        cls = (_OUT, key)
+        cls = self._classes[_OUT, key]
         start = 0
         for block in self._blocks:
             n = block.counts.get(cls, 0)
@@ -225,8 +254,10 @@ class ThreadIndex:
                 break
             k -= n
             start += len(block.items)
+        if n == len(block.items):  # the block holds only outputs on ``key``
+            return start + k, block, k, block.items[k][1]
         for offset, (other, thread, _) in enumerate(block.items):
-            if other == cls:
+            if other is cls:
                 if not k:
                     return start + offset, block, offset, thread
                 k -= 1
@@ -251,22 +282,34 @@ class ThreadIndex:
         drawn, self._drawn = self._drawn, None
         positions = redex.participants
         located = drawn[1] if drawn is not None and drawn[0] is redex else self._locate(positions)
-        participants = tuple([block.items[offset][1] for block, offset in located])
-        signature = (redex.kind, *participants)
+        if len(located) == 1:
+            ((block, offset),) = located
+            signature: tuple = (redex.kind, block.items[offset][1])
+        else:
+            (block, offset), (other, at) = located
+            signature = (redex.kind, block.items[offset][1], other.items[at][1])
         move = self._moves.get(signature)
         if move is None:
-            move = self._moves[signature] = _learn(redex, participants)
-        rule, detail, halted, flat, replaced, sides = move
+            move = self._moves[signature] = _learn(redex, signature[1:])
+            self._known.update((thread, _facts(thread)) for threads in move[1] or () for thread in threads)
+        halted, flat, replaced, sides = move
         if flat is None:  # a hoisted name must be fresh in the current threads
             results = dict(zip(positions, replaced))
             hoist = _fresh_names(self.protected, self.restrictions, self._iter_threads(), results)
             flat, halted = _flatten(positions, replaced, self.restrictions, hoist, halted)
-        for _, (block, offset), threads in sorted(zip(positions, located, flat), reverse=True):
-            self._replace(block, offset, threads)  # in reverse thread order, so each earlier offset stays valid
+        if len(located) == 1:
+            self._replace(block, offset, flat[0])
+        elif positions[0] > positions[1]:  # the later participant first, so the earlier one's offset stays valid
+            self._replace(block, offset, flat[0])
+            self._replace(other, at, flat[1])
+        else:
+            self._replace(other, at, flat[1])
+            self._replace(block, offset, flat[0])
         for block, _ in located:
-            self._tidy(block)
+            if not self._size // 4 <= len(block.items) <= 2 * self._size:
+                self._tidy(block)
         self.halted = halted
-        return rule, detail, *sides[positions[0] > positions[-1]]
+        return sides[positions[0] > positions[-1]]
 
     def _locate(self, positions: tuple[int, ...]) -> list[tuple[_Block, int]]:
         """The block holding each of ``positions``, in their order, and the
@@ -288,16 +331,22 @@ class ThreadIndex:
             raise IndexError("thread position out of range")
         return [found[k] for k in positions]
 
-    def _replace(self, block: _Block, offset: int, threads: Iterable[CastProcess]) -> None:
+    def _replace(self, block: _Block, offset: int, threads: list[CastProcess]) -> None:
         old = block.items[offset]
-        new = list(map(self._item, threads))
-        block.items[offset : offset + 1] = new
-        self._n += len(new) - 1
-        if len(new) == 1 and new[0][0] == old[0] and new[0][2] == old[2]:
-            # Same class and heads (a c-solve's pair): no count changes.
-            self._hold(new[0], 1)
-            self._hold(old, -1)
-            return
+        if len(threads) == 1:
+            item = self._item(threads[0])
+            block.items[offset] = item
+            if item[0] is old[0] and item[2] == old[2]:
+                # Same class and heads (a c-solve's pair): no count changes.
+                self._live[item[1]][1] += 1
+                self._hold(old, -1)
+                return
+            new = [item]
+        else:
+            new = list(map(self._item, threads))
+            block.items[offset : offset + 1] = new
+            self._n += len(new) - 1
+        block.version = -1
         stays = old in new  # a replicated thread stays beside its copy
         if stays:
             new.remove(old)
@@ -309,12 +358,10 @@ class ThreadIndex:
             self._enter(old, -1)
 
     def _tidy(self, block: _Block) -> None:
-        """Keep ``block`` between a quarter of and twice the target size: an
-        empty or small block is merged into its successor (or dropped), a
-        big one split."""
+        """Bring ``block`` back to between a quarter of and twice the target
+        size: an empty or small block is merged into its successor (or
+        dropped), a big one split."""
         size = self._size
-        if size // 4 <= len(block.items) <= 2 * size:
-            return
         b = next((b for b, other in enumerate(self._blocks) if other is block), None)
         if b is None:  # merged or split already
             return
@@ -327,17 +374,19 @@ class ThreadIndex:
 
 def _learn(redex: Redex, participants: tuple[CastProcess, ...]) -> tuple:
     """What ``redex`` does to ``participants``, kept for each later step
-    with the same kind and participants: its rule, detail and halt, the
-    flattened threads that replace each participant (``None`` when it
-    hoists a restriction, whose name depends on the current threads), the
-    unflattened ones, and the trace's before and after sides with the
-    participants in order and reversed."""
+    with the same kind and participants: its halt, the flattened threads
+    that replace each participant (``None`` when it hoists a restriction,
+    whose name depends on the current threads), the unflattened ones, and
+    what ``step`` returns, with the participants in order and reversed."""
     rule, detail, results, halted = _effects(redex, participants)
     replaced = tuple(tuple(results[k]) for k in redex.participants)
     hoisted: list = []
     flat, halted = _flatten(redex.participants, replaced, hoisted, lambda x: x, halted)
-    sides = ((participants, sum(replaced, ())), (participants[::-1], sum(replaced[::-1], ())))
-    return rule, detail, halted, None if hoisted else flat, replaced, sides
+    sides = (
+        (rule, detail, participants, sum(replaced, ())),
+        (rule, detail, participants[::-1], sum(replaced[::-1], ())),
+    )
+    return halted, None if hoisted else flat, replaced, sides
 
 
 def _flatten(

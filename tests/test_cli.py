@@ -527,6 +527,34 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     assert proc.stderr.read() == b""
 
 
+class _CountedWrites(io.StringIO):
+    """A stdout that records how many lines each write holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines_per_write: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.lines_per_write.append(text.count("\n"))
+        return super().write(text)
+
+
+def test_a_long_trace_is_written_in_bounded_chunks_as_per_line_printing_prints(tmp_path, monkeypatch):
+    wide = tmp_path / "wide.gpi"
+    wide.write_text("chan a : dyn;\nrun " + " | ".join(["a!<a>.0 | a?(x:dyn).0"] * 600) + "\n", encoding="utf-8")
+    argv = ["run", str(wide), "--trace", "--max-steps", "2500"]
+    chunked = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", chunked)
+    code = main(argv)
+    per_line = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", per_line)
+    monkeypatch.setattr(cli, "_print_lines", lambda lines: [print(line) for line in lines])
+    assert main(argv) == code == 0
+    assert chunked.getvalue() == per_line.getvalue()
+    assert chunked.getvalue().count("\n") > 1024  # more than one chunk of trace lines
+    assert 2 <= len(chunked.lines_per_write) and max(chunked.lines_per_write) <= 1024  # never joined whole
+
+
 def test_documented_exit_codes_are_the_exit_constants():
     codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     docstring = cli.__doc__.split("Exit codes:")[1].split("\n\n")[0]

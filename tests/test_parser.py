@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import CORPUS, corpus_run_threads, load
-from gen import random_program, random_surface
+from gen import random_party_set, random_program, random_surface
 from hypothesis import given, settings, strategies as st
 from oracles import reference_lex, reference_parse, reference_print, renders_injectively
 from gradualpi.castinsert import insert_casts
@@ -14,6 +14,7 @@ from gradualpi.parser import (
     GpiParseError,
     GpiSyntaxError,
     UndeclaredChannelError,
+    _Parser,
     _lex,
     format_channel,
     parse,
@@ -120,6 +121,66 @@ def test_undeclared_free_name_rejected():
     with pytest.raises(UndeclaredChannelError) as err:
         parse("chan a : o(); run a!<b>.0")
     assert err.value.name == Name("b")
+
+
+class _WalkAlone(_Parser):
+    """The parser with the declaration walk run on every program: a name
+    that no program can declare ('#' is not an identifier character) counts
+    as used."""
+
+    def __init__(self, tokens):
+        super().__init__(tokens)
+        self.used.add(Name("#undeclared"))
+
+
+def _declaration_outcome(parser: type, text: str):
+    try:
+        parser(_lex(text)).parse_program(None)
+    except GpiParseError as exc:
+        return type(exc), getattr(exc, "name", None), exc.line, exc.col, exc.message
+    return "parsed"
+
+
+def test_declaration_precheck_reports_what_the_walk_alone_reports():
+    rng = random.Random(61)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.gpi"))]
+    programs = [random_program(rng, dyn_free=k % 2 == 0) for k in range(150)]
+    programs += [party for _ in range(60) for party in random_party_set(rng, allow_dyn=True, allow_new=True)]
+    for env, proc in programs:  # each declaration dropped with probability 1/3
+        kept = "".join(f"chan {n} : {t};\n" for n, t in env.bindings if rng.random() < 2 / 3)
+        texts.append(f"{kept}run {print_surface(proc)}\n")
+    chain = "a?(x:dyn).x!<a>." * 5000
+    cases = [
+        "chan a : dyn;\nrun a!<> | (b!<>.0)",  # a parenthesised prefix: the error takes its group's span
+        "chan a : dyn;\nrun a!<> | ((a?(x:dyn).0 + b!<a>.0))",
+        "chan a : dyn;\nchan x : dyn;\nrun a?(x:dyn).x!<>.0 | x!<a>",  # a bound name shadows a declared one
+        "chan a : dyn;\nrun a?(x:dyn).x!<>.0 | x!<a>",  # ... or an undeclared one, then used free
+        "chan a : dyn;\nrun new (b:dyn) b!<a>.0 | b?().0",  # bound by a `new` on the left only
+        "chan a : dyn;\nrun b!<>.0 |\n a!<",  # a syntax error after the undeclared name still wins
+        f"chan a : dyn;\nrun {chain}0",  # 10,000 prefixes deep
+        f"chan a : dyn;\nrun {chain}y!<>.0",
+    ]
+    outcomes = []
+    skipped = 0
+    for text in texts + cases:
+        outcomes.append(_declaration_outcome(_Parser, text))
+        assert outcomes[-1] == _declaration_outcome(_WalkAlone, text), text[:200]
+        parser = _Parser(_lex(text))
+        if outcomes[-1] == "parsed":
+            skipped += parser.used <= {name for name, _ in parser.parse_program(None).env.bindings}
+    undeclared = sum(outcome[0] is UndeclaredChannelError for outcome in outcomes if outcome != "parsed")
+    assert len(texts) >= 200 and undeclared >= 50 and skipped >= 100, (len(texts), undeclared, skipped)
+    assert [outcome if outcome == "parsed" else outcome[:4] for outcome in outcomes[-8:]] == [
+        (UndeclaredChannelError, Name("b"), 2, 12),
+        (UndeclaredChannelError, Name("b"), 2, 28),
+        "parsed",
+        (UndeclaredChannelError, Name("x"), 2, 24),
+        (UndeclaredChannelError, Name("b"), 2, 27),
+        (GpiSyntaxError, None, 3, 5),
+        "parsed",
+        (UndeclaredChannelError, Name("y"), 2, 5 + len(chain)),
+    ]
+    assert free_names(parse_process("b!<>.0 | (c?().0)")) == {Name("b"), Name("c")}  # the bare form checks nothing
 
 
 def test_binder_repetition_rejected():

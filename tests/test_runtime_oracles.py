@@ -661,6 +661,17 @@ def dyn_server(clients: int) -> Configuration:
 # finds that it must be renamed.
 CLASH = "chan a : dyn;\nchan y : dyn;\nrun a?().new (y:o()) y!<>.0 | a!<>.0 | y?().0 | y!<>.0\n"
 
+# Inputs on `a` spread over many blocks, and a replicated `d!<>` whose only
+# partner hangs on a choice: an output on `a` that leaves changes the weight
+# of inputs in blocks the step does not touch, and a choice-right makes `!d!<>`
+# useless with no output entering or leaving.  A block's summed weight goes
+# stale unless each such change bumps the weights' version.
+SPREAD = (
+    "chan a : dyn;\nchan b : dyn;\nchan c : dyn;\nchan d : dyn;\nrun !d!<>.0 | !a!<>.0 | "
+    + " | ".join(["a?().0 | (c!<>.0 + c!<>.0)"] * 12)
+    + " | (d?().0 + b?().0)\n"
+)
+
 
 def assert_index_follows_rebuild(cfg: Configuration, seed: int, steps: int) -> tuple[int, int]:
     """A seeded walk from `cfg` kept in one `ThreadIndex`; at every state the
@@ -698,6 +709,7 @@ def test_thread_index_matches_the_naive_enumeration_at_every_step(monkeypatch):
             checked += assert_index_follows_rebuild(cfg, seed, 40)[0]
         for seed in range(3):
             checked += assert_index_follows_rebuild(compile_text(CLASH, protect=False), seed, 10)[0]
+            checked += assert_index_follows_rebuild(compile_text(SPREAD), seed, 60)[0]
         states, moves = assert_index_follows_rebuild(dyn_server(60), 0, 400)
         assert moves < states // 10  # the 60 clients are one term, so nearly every step repeats a move
         return checked + states
@@ -710,3 +722,35 @@ def test_thread_index_matches_the_naive_enumeration_at_every_step(monkeypatch):
     for size in (8, 2):
         monkeypatch.setattr(threadindex, "_MIN_BLOCK", size)
         assert walk_all() > 900
+
+
+def unmemoised_trace(outcome: Outcome) -> list[str]:
+    """The trace text with every line rendered from scratch."""
+    return [event.format() for event in outcome.trace] + [f"HALT: {outcome.halt.describe()}"]
+
+
+def test_memoised_trace_text_is_the_unmemoised_text():
+    outcomes = []
+    for names in RUNNABLE_CORPUS:
+        cfg = compile_corpus(*names)
+        outcomes += [o for seed in range(3) for o in run(cfg, Seeded(seed, 300)).outcomes]
+        outcomes += run(cfg, Exhaustive(20)).outcomes
+    outcomes += run(dyn_server(60), Seeded(0, 1000)).outcomes
+    # Two moves whose sides are equal but held in distinct tuples render alike,
+    # and a move with other sides, or another rule or detail, does not.
+    event = next(event for event in outcomes[-1].trace if event.before and event.after)
+    before, after = (tuple(list(side)) for side in (event.before, event.after))
+    assert (before, after) == (event.before, event.after) and before is not event.before and after is not event.after
+    moves = [
+        event._replace(index=0),
+        event._replace(index=1, before=before, after=after),
+        event._replace(index=2, rule="c-solve", detail=("c-out-succeed",)),
+        event._replace(index=3, before=after, after=before),
+        event._replace(index=4, before=before, after=after),
+    ]
+    outcomes.append(Outcome(Status.NORMAL_STUCK, Halt(Status.NORMAL_STUCK), tuple(moves)))
+    assert sum(len(o.trace) for o in outcomes) > 300
+    for outcome in outcomes:
+        assert format_trace(outcome) == unmemoised_trace(outcome)
+    lines = format_trace(outcomes[-1])
+    assert lines[0][3:] == lines[1][3:] == lines[4][3:] != lines[2][3:] and lines[3][3:] != lines[0][3:]
